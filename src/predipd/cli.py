@@ -61,7 +61,7 @@ class RunConfig:
     trace: bool = False
 
     def payoff_matrix(self) -> PayoffMatrix:
-        pm = PayoffMatrix(*[Fraction(str(v)) for v in self.payoffs])
+        pm = PayoffMatrix(*[_rational("payoffs", v) for v in self.payoffs])
         bad = pm.violations()
         if bad:
             raise ConfigError(f"payoffs: {'; '.join(bad)}")
@@ -95,10 +95,12 @@ class RunConfig:
             probs = entry["probs"]
         except KeyError as exc:
             raise ConfigError(f"roster: custom strategy missing key {exc}") from None
-        if len(probs) != 4:
-            raise ConfigError(f"roster: {name}: probs must have 4 entries, got {len(probs)}")
+        if not isinstance(name, str):
+            raise ConfigError(f"roster: custom strategy name {name!r} is not a string")
+        if not isinstance(probs, (list, tuple)) or len(probs) != 4:
+            raise ConfigError(f"roster: {name}: probs must be a list of 4 entries")
         for k, p in enumerate(probs):
-            value = Fraction(str(p))
+            value = _rational(f"roster: {name}: probs[{k}]", p)
             if not 0 <= value <= 1:
                 raise ConfigError(f"roster: {name}: probs[{k}] = {p} outside [0, 1]")
         initial = entry.get("initial", "C")
@@ -130,6 +132,20 @@ _CONFIG_KEYS = {
 }
 
 
+def _rational(key: str, value) -> Fraction:
+    """A config number as an exact rational; the error names the key."""
+    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
+        raise ConfigError(f"{key}: {value!r} is not a number")
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{key}: {value!r} is not a number") from None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then config file, then explicit overrides."""
     cfg = RunConfig()
@@ -150,6 +166,20 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key in ("n_turns", "n_iter", "seed", "window"):
+        value = getattr(cfg, key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{key}: {value!r} is not an integer")
+    if not _is_number(cfg.p_exp):
+        raise ConfigError(f"p_exp: {cfg.p_exp!r} is not a number")
+    if not isinstance(cfg.payoffs, (list, tuple)):
+        raise ConfigError(f"payoffs: {cfg.payoffs!r} is not a list of 4 values R,S,T,P")
+    if not isinstance(cfg.grid, (list, tuple)) or not all(_is_number(g) for g in cfg.grid):
+        raise ConfigError(f"grid: {cfg.grid!r} is not a list of numbers")
+    if not isinstance(cfg.roster, list):
+        raise ConfigError(f"roster: {cfg.roster!r} is not a list")
+    if not isinstance(cfg.out, str):
+        raise ConfigError(f"out: {cfg.out!r} is not a path")
     if cfg.n_turns < 1:
         raise ConfigError("n_turns: must be at least 1")
     if cfg.n_iter < 1:
@@ -171,6 +201,22 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
+_FILENAME_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-"
+)
+
+
+def safe_filename(name: str) -> str:
+    """``name`` with every character outside [A-Za-z0-9._-] replaced by ``_``.
+
+    The result never holds a path separator and is never ``.`` or ``..``,
+    so it always names a file directly inside the output directory; names
+    made of those characters alone map to themselves.
+    """
+    safe = "".join(ch if ch in _FILENAME_CHARS else "_" for ch in name)
+    return safe if safe.strip(".") else "_" + safe
+
+
 def _write_outputs(out_dir: str, files: dict[str, str]) -> list[str]:
     """Write all files atomically; nothing is left behind on failure."""
     os.makedirs(out_dir, exist_ok=True)
@@ -178,6 +224,7 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> list[str]:
     written = []
     try:
         for name, text in files.items():
+            name = safe_filename(name)
             tmp = os.path.join(out_dir, f".tmp-{name}")
             with open(tmp, "w") as fh:
                 fh.write(text)
@@ -244,11 +291,9 @@ def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
     series_b = rec.cumulative_means(1, cfg.window)
     for (turn, ma), (_, mb) in zip(series_a, series_b):
         series_lines.append(f"{turn},{_fmt(ma)},{_fmt(mb)}")
-    safe_a = name_a.replace("/", "_")
-    safe_b = name_b.replace("/", "_")
     return {
-        f"trace_{safe_a}_vs_{safe_b}.csv": _trace_csv(cfg, rec),
-        f"series_{safe_a}_vs_{safe_b}.csv": "\n".join(series_lines) + "\n",
+        f"trace_{name_a}_vs_{name_b}.csv": _trace_csv(cfg, rec),
+        f"series_{name_a}_vs_{name_b}.csv": "\n".join(series_lines) + "\n",
     }
 
 
@@ -341,7 +386,10 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
             raise ConfigError("payoffs: expected exactly 4 values R,S,T,P")
         overrides["payoffs"] = tuple(parts)
     if args.grid is not None:
-        overrides["grid"] = [float(g) for g in args.grid.split(",")]
+        try:
+            overrides["grid"] = [float(g) for g in args.grid.split(",")]
+        except ValueError:
+            raise ConfigError(f"grid: {args.grid!r} is not a comma-separated list of numbers") from None
     return overrides
 
 

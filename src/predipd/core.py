@@ -61,6 +61,16 @@ _OUTCOME_BY_PAIR = {(o.value[0], o.value[1]): o for o in JointOutcome}
 #: Canonical state order used for vectors and transition matrices.
 OUTCOMES = (JointOutcome.CC, JointOutcome.CD, JointOutcome.DC, JointOutcome.DD)
 
+#: Integer code of each joint outcome: its index in OUTCOMES, which is
+#: 2 * (focal player defected) + (opponent defected).
+OUTCOME_CODE = {o: i for i, o in enumerate(OUTCOMES)}
+
+#: Pseudo-code standing for "no previous turn" on the opening turn.
+OPENING = 4
+
+#: Code of the same turn seen from the other side, indexed by code.
+MIRROR_CODE = (0, 2, 1, 3, OPENING)
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Rational):
@@ -74,7 +84,8 @@ class PayoffMatrix:
     """Symmetric stage-game payoffs (reward, sucker, temptation, punishment).
 
     The dilemma requires sucker < punishment < reward < temptation and
-    2*reward > temptation + sucker.
+    2*reward > temptation + sucker.  ``focal`` holds the focal player's
+    payoff for each joint outcome, indexed by outcome code: (R, S, T, P).
     """
 
     reward: Fraction = Fraction(3)
@@ -85,20 +96,14 @@ class PayoffMatrix:
     def __post_init__(self):
         for field in ("reward", "sucker", "temptation", "punishment"):
             object.__setattr__(self, field, _as_fraction(getattr(self, field)))
+        object.__setattr__(
+            self, "focal", (self.reward, self.sucker, self.temptation, self.punishment)
+        )
 
     def payoff(self, outcome: JointOutcome) -> tuple[Fraction, Fraction]:
         """Focal player's and opponent's payoff for one joint outcome."""
-        mine = self._focal_payoff(outcome)
-        theirs = self._focal_payoff(outcome.mirror)
-        return mine, theirs
-
-    def _focal_payoff(self, outcome: JointOutcome) -> Fraction:
-        return {
-            JointOutcome.CC: self.reward,
-            JointOutcome.CD: self.sucker,
-            JointOutcome.DC: self.temptation,
-            JointOutcome.DD: self.punishment,
-        }[outcome]
+        code = OUTCOME_CODE[outcome]
+        return self.focal[code], self.focal[MIRROR_CODE[code]]
 
     def violations(self) -> list[str]:
         """Names of every ordering constraint that fails; empty means valid."""

@@ -5,6 +5,12 @@ seeded draw stream, both players are queried against the previous joint
 outcome before either current move is revealed, and per-match seeds are a
 fixed 64-bit mix of (master seed, pair indices, iteration), so results
 survive refactors and may be recomputed match by match in any order.
+
+The match kernel works on integer outcome codes (:data:`core.OUTCOME_CODE`):
+memory-one players compare each draw with a precomputed exact threshold,
+the learner decides by the integer closed form of
+:func:`predictor.cooperates`, and per-turn payoffs come from one row of
+floats, summed in turn order.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ import math
 import random
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional, Protocol, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import predictor
-from .core import Action, DEFAULT_PAYOFFS, JointOutcome, PayoffMatrix
-from .strategies import MemoryOneStrategy, RngStream, initial_action, next_action
+from .core import Action, DEFAULT_PAYOFFS, MIRROR_CODE, OPENING, OUTCOMES, PayoffMatrix
+from .strategies import MemoryOneStrategy, RngStream
 
 PREDICTOR_NAME = "PREDICTOR"
 
@@ -41,47 +47,6 @@ class MatchConfig:
             raise ValueError("n_turns must be at least 1")
 
 
-class Player(Protocol):
-    name: str
-
-    def act(self, turn: int) -> Action: ...
-
-    def observe(self, own: Action, opp: Action) -> None: ...
-
-
-class MemoryOnePlayer:
-    def __init__(self, strategy: MemoryOneStrategy, rng: RngStream, randomize_initial: bool = False):
-        self.name = strategy.name
-        self.strategy = strategy
-        self.rng = rng
-        self.randomize_initial = randomize_initial
-        self.prev: Optional[JointOutcome] = None
-
-    def act(self, turn: int) -> Action:
-        if turn == 0:
-            return initial_action(self.strategy, self.rng, self.randomize_initial)
-        assert self.prev is not None
-        return next_action(self.strategy, self.prev, self.rng)
-
-    def observe(self, own: Action, opp: Action) -> None:
-        self.prev = JointOutcome.from_actions(own, opp)
-
-
-class PredictorPlayer:
-    def __init__(self, p_exp: float, n_turns: int, payoff: PayoffMatrix, rng: RngStream,
-                 name: str = PREDICTOR_NAME):
-        self.name = name
-        self.payoff = payoff
-        self.rng = rng
-        self.state = predictor.PredictorState.fresh(n_turns, p_exp)
-
-    def act(self, turn: int) -> Action:
-        return predictor.act(self.state, self.rng, self.payoff)
-
-    def observe(self, own: Action, opp: Action) -> None:
-        self.state = predictor.observe(self.state, own, opp)
-
-
 @dataclass(frozen=True)
 class MemoryOneSpec:
     """Roster entry backed by a fixed memory-one strategy."""
@@ -92,10 +57,6 @@ class MemoryOneSpec:
     def name(self) -> str:
         return self.strategy.name
 
-    def make_player(self, rng: RngStream, cfg: MatchConfig, vs_predictor: bool) -> Player:
-        randomize = cfg.randomize_opponent_initial and vs_predictor
-        return MemoryOnePlayer(self.strategy, rng, randomize)
-
 
 @dataclass(frozen=True)
 class PredictorSpec:
@@ -104,34 +65,104 @@ class PredictorSpec:
     p_exp: float = 0.1
     name: str = PREDICTOR_NAME
 
-    def make_player(self, rng: RngStream, cfg: MatchConfig, vs_predictor: bool) -> Player:
-        return PredictorPlayer(self.p_exp, cfg.n_turns, cfg.payoff, rng)
-
 
 PlayerSpec = Union[MemoryOneSpec, PredictorSpec]
+
+#: A player inside the match kernel: the code of the previous outcome in the
+#: player's own orientation (OPENING on the first turn) -> 1 to defect, 0 to
+#: cooperate.
+Policy = Callable[[int], int]
+
+#: (a's action, b's action) of each outcome code.
+_ACTION_PAIRS = tuple((o.self_action, o.opponent_action) for o in OUTCOMES)
+
+
+def _memory_one_policy(strategy: MemoryOneStrategy, rng: RngStream, random_opening: bool) -> Policy:
+    """One draw per turn, compared with the strategy's exact threshold."""
+    thresholds = strategy.thresholds
+    if random_opening:
+        thresholds = thresholds[:OPENING] + (0.5,)
+    uniform = rng.uniform
+    return lambda prev: uniform() >= thresholds[prev]
+
+
+def _predictor_policy(p_exp: float, rng: RngStream, cfg: MatchConfig) -> Policy:
+    """The learning agent of :mod:`predipd.predictor` on outcome codes.
+
+    A random move (one draw) on the opening turn and inside the exploration
+    window, :func:`predictor.cooperates` otherwise.  The opponent model is
+    kept as Laplace-smoothed counters: after the state with code i the
+    opponent cooperated ``coops[i] - 1`` times out of ``seen[i] - 2``.
+    """
+    explore_until = predictor.exploration_turns(cfg.n_turns, p_exp)
+    payoffs = predictor.scaled_payoffs(cfg.payoff)
+    cooperates = predictor.cooperates
+    uniform = rng.uniform
+    coops = [1] * 4
+    seen = [2] * 4
+    last = OPENING
+    turn = 0
+
+    def move(prev: int) -> int:
+        nonlocal last, turn
+        if last != OPENING:
+            # the opponent's move in `prev` followed the state `last`
+            seen[last] += 1
+            coops[last] += 1 - (prev & 1)
+        last = prev
+        explore = prev == OPENING or turn < explore_until
+        turn += 1
+        if explore:
+            return uniform() >= 0.5
+        return 0 if cooperates(coops, seen, prev, payoffs) else 1
+
+    return move
+
+
+def _policy(spec: PlayerSpec, opponent: PlayerSpec, rng: RngStream, cfg: MatchConfig) -> Policy:
+    if isinstance(spec, PredictorSpec):
+        return _predictor_policy(spec.p_exp, rng, cfg)
+    # the randomized opening applies only against the learner
+    random_opening = cfg.randomize_opponent_initial and isinstance(opponent, PredictorSpec)
+    return _memory_one_policy(spec.strategy, rng, random_opening)
 
 
 @dataclass(frozen=True)
 class MatchRecord:
-    """Complete turn-by-turn trace of one match."""
+    """Complete turn-by-turn trace of one match.
+
+    ``outcomes`` holds one outcome code per turn in player a's orientation,
+    and ``payoff_row`` player a's payoff for each code; the per-turn actions
+    and payoffs are derived from them.
+    """
 
     player_a: str
     player_b: str
-    actions: tuple[tuple[Action, Action], ...]
-    payoffs: tuple[tuple[float, float], ...]
+    outcomes: bytes
+    payoff_row: tuple[float, float, float, float]
     mean_a: float
     mean_b: float
 
     @property
     def n_turns(self) -> int:
-        return len(self.actions)
+        return len(self.outcomes)
+
+    @property
+    def actions(self) -> tuple[tuple[Action, Action], ...]:
+        return tuple(_ACTION_PAIRS[code] for code in self.outcomes)
+
+    @property
+    def payoffs(self) -> tuple[tuple[float, float], ...]:
+        row = self.payoff_row
+        return tuple((row[code], row[MIRROR_CODE[code]]) for code in self.outcomes)
 
     def cumulative_means(self, role: int, window: int = 5) -> list[tuple[int, float]]:
         """(turn, mean payoff through that turn) at every `window` turns."""
+        row = self.payoff_row if role == 0 else [self.payoff_row[MIRROR_CODE[c]] for c in range(4)]
         series = []
         total = 0.0
-        for t, pair in enumerate(self.payoffs, start=1):
-            total += pair[role]
+        for t, code in enumerate(self.outcomes, start=1):
+            total += row[code]
             if t % window == 0:
                 series.append((t, total / t))
         return series
@@ -139,32 +170,27 @@ class MatchRecord:
 
 def play_match(spec_a: PlayerSpec, spec_b: PlayerSpec, cfg: MatchConfig) -> MatchRecord:
     """Run one match; fully deterministic given cfg.seed."""
-    a_is_pred = isinstance(spec_a, PredictorSpec)
-    b_is_pred = isinstance(spec_b, PredictorSpec)
-    player_a = spec_a.make_player(RngStream(mix_seed(cfg.seed, 0)), cfg, vs_predictor=b_is_pred)
-    player_b = spec_b.make_player(RngStream(mix_seed(cfg.seed, 1)), cfg, vs_predictor=a_is_pred)
-
-    actions: list[tuple[Action, Action]] = []
-    payoffs: list[tuple[float, float]] = []
-    total_a = 0.0
-    total_b = 0.0
+    move_a = _policy(spec_a, spec_b, RngStream(mix_seed(cfg.seed, 0)), cfg)
+    move_b = _policy(spec_b, spec_a, RngStream(mix_seed(cfg.seed, 1)), cfg)
+    mirror = MIRROR_CODE
+    outcomes = bytearray(cfg.n_turns)
+    code = OPENING
     for turn in range(cfg.n_turns):
         # both moves are fixed before either is revealed
-        move_a = player_a.act(turn)
-        move_b = player_b.act(turn)
-        player_a.observe(move_a, move_b)
-        player_b.observe(move_b, move_a)
-        pay_a, pay_b = cfg.payoff.payoff(JointOutcome.from_actions(move_a, move_b))
-        actions.append((move_a, move_b))
-        payoffs.append((float(pay_a), float(pay_b)))
-        total_a += float(pay_a)
-        total_b += float(pay_b)
+        code = 2 * move_a(code) + move_b(mirror[code])
+        outcomes[turn] = code
 
+    row = tuple(float(v) for v in cfg.payoff.focal)
+    total_a = 0.0
+    total_b = 0.0
+    for code in outcomes:
+        total_a += row[code]
+        total_b += row[mirror[code]]
     return MatchRecord(
-        player_a=player_a.name,
-        player_b=player_b.name,
-        actions=tuple(actions),
-        payoffs=tuple(payoffs),
+        player_a=spec_a.name,
+        player_b=spec_b.name,
+        outcomes=bytes(outcomes),
+        payoff_row=row,
         mean_a=total_a / cfg.n_turns,
         mean_b=total_b / cfg.n_turns,
     )

@@ -4,22 +4,24 @@ The agent keeps per-state cooperation counters for its opponent, smoothed
 with an add-one prior so the estimated probabilities never saturate.  At
 each turn it compares the expected payoff of the course "cooperate now,
 defect on the fictive final turn" against "defect now, defect again" and
-plays the better one; ties go to defection.  All expectations are computed
-in exact rational arithmetic so the comparison never depends on summation
-order or platform rounding.
+plays the better one; ties go to defection.  The comparison has a closed
+form (:func:`cooperates`) that is decided in exact integer arithmetic, so it
+never depends on summation order or platform rounding; the course
+enumeration in exact rationals (:func:`course_value`) is kept as its
+independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import Action, JointOutcome, OUTCOMES, PayoffMatrix
+from .core import Action, JointOutcome, OUTCOME_CODE, OUTCOMES, PayoffMatrix
 from .strategies import RngStream
 
-_INDEX = {o: i for i, o in enumerate(OUTCOMES)}
 
 
 @dataclass(frozen=True)
@@ -45,18 +47,18 @@ class OpponentModel:
         return cls()
 
     def obs_count(self, state: JointOutcome) -> int:
-        return self.counts[_INDEX[state]][0]
+        return self.counts[OUTCOME_CODE[state]][0]
 
     def coop_count(self, state: JointOutcome) -> int:
-        return self.counts[_INDEX[state]][1]
+        return self.counts[OUTCOME_CODE[state]][1]
 
     def probability(self, state: JointOutcome) -> Fraction:
-        n, c = self.counts[_INDEX[state]]
+        n, c = self.counts[OUTCOME_CODE[state]]
         return Fraction(1 + c, 2 + n)
 
     def observe(self, prev_state: JointOutcome, observed: Action) -> "OpponentModel":
         """Counters after seeing the opponent play `observed` following `prev_state`."""
-        i = _INDEX[prev_state]
+        i = OUTCOME_CODE[prev_state]
         n, c = self.counts[i]
         updated = (n + 1, c + 1 if observed is Action.C else c)
         counts = self.counts[:i] + (updated,) + self.counts[i + 1:]
@@ -82,15 +84,7 @@ class FixedModel:
         object.__setattr__(self, "probs", probs)
 
     def probability(self, state: JointOutcome) -> Fraction:
-        return self.probs[_INDEX[state]]
-
-
-def model_probability(model: OpponentModel, state: JointOutcome) -> Fraction:
-    return model.probability(state)
-
-
-def update_model(model: OpponentModel, prev_state: JointOutcome, observed: Action) -> OpponentModel:
-    return model.observe(prev_state, observed)
+        return self.probs[OUTCOME_CODE[state]]
 
 
 def _one_turn(model: OpponentModel, x0: JointOutcome, pm: PayoffMatrix, own: Action) -> Fraction:
@@ -142,12 +136,50 @@ def expected_payoff_defect(model: OpponentModel, x0: JointOutcome, pm: PayoffMat
     return course_value(model, x0, pm, (Action.D, Action.D))
 
 
+def scaled_payoffs(pm: PayoffMatrix) -> tuple[int, int, int, int]:
+    """R, S, T, P times the lcm of their denominators: integers in the same ratios."""
+    scale = math.lcm(*(v.denominator for v in pm.focal))
+    return tuple(int(v * scale) for v in pm.focal)
+
+
+def cooperates(num: Sequence[int], den: Sequence[int], x0: int, payoffs: Sequence[int]) -> bool:
+    """The two-turn decision in closed form, in integers.
+
+    The opponent cooperates after the state with code i with probability
+    ``num[i] / den[i]`` (``den[i] > 0``); ``x0`` is the current state's code
+    and ``payoffs`` are R, S, T, P from :func:`scaled_payoffs`.  Cooperating
+    now beats defecting now (both followed by the final defection) by
+
+        (R-T) p0 + (S-P)(1-p0) + (T-P) [p0 (pCC - pDC) + (1-p0) (pCD - pDD)]
+
+    with p0 the probability at x0 and pXY the one at state XY.  Multiplying
+    by the positive den[x0] * den[CC] * den[CD] * den[DC] * den[DD] keeps the
+    sign and clears every fraction.  Cooperate iff the margin is positive;
+    ties go to defection.
+    """
+    r, s, t, p = payoffs
+    a0 = num[x0]
+    b0 = den[x0]
+    after_c = den[0] * den[2]   # states reached when the opponent cooperates
+    after_d = den[1] * den[3]   # ... and when it defects
+    margin = after_c * after_d * ((r - t) * a0 + (s - p) * (b0 - a0)) + (t - p) * (
+        a0 * (num[0] * den[2] - num[2] * den[0]) * after_d
+        + (b0 - a0) * (num[1] * den[3] - num[3] * den[1]) * after_c
+    )
+    return margin > 0
+
+
 @lru_cache(maxsize=1 << 16)
 def decide(model: OpponentModel, x0: JointOutcome, pm: PayoffMatrix) -> Action:
-    """Cooperate iff the cooperation course strictly beats the defection course."""
-    if expected_payoff_coop(model, x0, pm) > expected_payoff_defect(model, x0, pm):
-        return Action.C
-    return Action.D
+    """Cooperate iff the cooperation course strictly beats the defection course.
+
+    Decided by :func:`cooperates`; :func:`expected_payoff_coop` and
+    :func:`expected_payoff_defect` give the two course values themselves.
+    """
+    probs = [model.probability(o) for o in OUTCOMES]
+    num = [p.numerator for p in probs]
+    den = [p.denominator for p in probs]
+    return Action.C if cooperates(num, den, OUTCOME_CODE[x0], scaled_payoffs(pm)) else Action.D
 
 
 def decide_at_depth(model: OpponentModel, x0: JointOutcome, pm: PayoffMatrix, depth: int) -> Action:
@@ -176,19 +208,19 @@ class PredictorState:
 
     @classmethod
     def fresh(cls, n_turns: int, p_exp: float) -> "PredictorState":
-        if not 0 <= p_exp <= 1:
-            raise ValueError(f"p_exp = {p_exp} outside [0, 1]")
         return cls(
             model=OpponentModel.fresh(),
             prev_outcome=None,
             turn_index=0,
-            explore_until=round(p_exp * n_turns),
+            explore_until=exploration_turns(n_turns, p_exp),
         )
 
 
-def reset(state: Optional[PredictorState], n_turns: int, p_exp: float) -> PredictorState:
-    """Back to maximal uncertainty; the exploration window is fixed per match."""
-    return PredictorState.fresh(n_turns, p_exp)
+def exploration_turns(n_turns: int, p_exp: float) -> int:
+    """Length of the random exploration window: the first p_exp of the match."""
+    if not 0 <= p_exp <= 1:
+        raise ValueError(f"p_exp = {p_exp} outside [0, 1]")
+    return round(p_exp * n_turns)
 
 
 def act(state: PredictorState, rng: RngStream, pm: PayoffMatrix) -> Action:

@@ -12,10 +12,12 @@ player's move first, which swaps the CD and DC entries.  Use
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .core import Action, JointOutcome, OUTCOMES
@@ -61,6 +63,18 @@ class RngStream:
         return self.uniform() < coop_prob
 
 
+def coop_threshold(p) -> float:
+    """The least double t >= p, so that ``u < t`` holds exactly when ``u < p``
+    for every double u.
+
+    That is p itself when p is a double; otherwise the double just above
+    the largest double below p.  A draw compared with the threshold gives
+    the same move as the exact rational comparison in :meth:`RngStream.bernoulli`.
+    """
+    t = float(p)
+    return math.nextafter(t, math.inf) if t < p else t
+
+
 @dataclass(frozen=True)
 class MemoryOneStrategy:
     """Four cooperation probabilities (own orientation) + opening policy."""
@@ -79,6 +93,13 @@ class MemoryOneStrategy:
     def vector(self) -> tuple[Fraction, ...]:
         """(p(C|CC), p(C|CD), p(C|DC), p(C|DD))."""
         return tuple(self.coop_prob[o] for o in OUTCOMES)
+
+    @cached_property
+    def thresholds(self) -> tuple[float, ...]:
+        """:func:`coop_threshold` of each cooperation probability, indexed by
+        the previous outcome's code; index ``OPENING`` is the opening move's."""
+        probs = (*self.vector(), self.initial_policy.coop_prob)
+        return tuple(coop_threshold(p) for p in probs)
 
 
 def _make(name, vec, initial) -> MemoryOneStrategy:

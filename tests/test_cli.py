@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from predipd.cli import ConfigError, main, parse_config
+from predipd.cli import DEFAULT_ROSTER, ConfigError, main, parse_config, safe_filename
 
 BASE = ["--turns", "30", "--iters", "1", "--seed", "3"]
 
@@ -188,3 +190,52 @@ def test_error_exit_code_and_message(tmp_path, capsys):
                           "tournament"], capsys)
     assert rc == 2
     assert "payoffs" in err
+
+
+@pytest.mark.parametrize(
+    "flags, yaml_text, key",
+    [
+        (["--grid", "a,b"], None, "grid"),
+        (["--payoffs", "3,x,5,1"], None, "payoffs"),
+        ([], "n_turns: abc\n", "n_turns"),
+        ([], "payoffs: 5\n", "payoffs"),
+    ],
+)
+def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_text, key):
+    if yaml_text is not None:
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml_text)
+        flags = ["--config", str(path)]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(str(path))
+    # no other flags: a flag would override the config file's value
+    rc, _, err = run_cli([*flags, "--out", str(tmp_path / "out"), "tournament"], capsys)
+    assert rc == 2
+    assert err.startswith(f"error: {key}:")
+    assert not (tmp_path / "out").exists()
+
+
+EVIL_ROSTER = "roster:\n  - TFT\n  - name: ../evil\n    probs: [1, 0, 1, 0]\n"
+
+
+@pytest.mark.parametrize("command", [["--trace", "tournament"], ["match", "../evil", "TFT"]])
+def test_output_files_stay_inside_out(tmp_path, capsys, command):
+    config = tmp_path / "run.yaml"
+    config.write_text(EVIL_ROSTER)
+    out = tmp_path / "deep" / "out"
+    rc, stdout, _ = run_cli([*BASE, "--config", str(config), "--out", str(out), *command], capsys)
+    assert rc == 0
+    written = stdout.split()
+    assert any("evil" in path for path in written)
+    for path in written:
+        assert os.path.dirname(path) == str(out)
+    assert sorted(p.name for p in (tmp_path / "deep").iterdir()) == ["out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep", "run.yaml"]
+
+
+def test_safe_filename_keeps_plain_names():
+    for name in [*DEFAULT_ROSTER, "summary.csv", "trace_0003_ZDGTFT-2_vs_TFT.csv", "a.b_c-9"]:
+        assert safe_filename(name) == name
+    assert safe_filename("trace_../evil_vs_TFT.csv") == "trace_.._evil_vs_TFT.csv"
+    assert safe_filename("..") == "_.."
+    assert safe_filename("a b\\c") == "a_b_c"

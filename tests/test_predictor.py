@@ -17,8 +17,6 @@ from predipd.predictor import (
     expected_payoff_coop,
     expected_payoff_defect,
     observe,
-    reset,
-    update_model,
 )
 from predipd.strategies import RngStream
 
@@ -60,11 +58,6 @@ def test_invalid_counters_rejected():
         OpponentModel(((1, 2), (0, 0), (0, 0), (0, 0)))
     with pytest.raises(ValueError):
         OpponentModel(((-1, 0), (0, 0), (0, 0), (0, 0)))
-
-
-def test_update_model_function_matches_method():
-    model = OpponentModel.fresh()
-    assert update_model(model, JointOutcome.DC, D) == model.observe(JointOutcome.DC, D)
 
 
 def test_fixed_model_validation_and_lookup():
@@ -161,12 +154,6 @@ def test_fresh_state_and_exploration_window():
     assert PredictorState.fresh(10, 0.25).explore_until == 2
     with pytest.raises(ValueError):
         PredictorState.fresh(200, 1.5)
-
-
-def test_reset_discards_everything():
-    state = PredictorState.fresh(200, 0.1)
-    state = observe(state, C, D)
-    assert reset(state, 200, 0.1) == PredictorState.fresh(200, 0.1)
 
 
 def test_act_draws_once_on_random_turns_and_never_on_exploit():
