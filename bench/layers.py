@@ -15,7 +15,11 @@ layer's cost:
 - one PREDICTOR match: PREDICTOR (p_exp 0.1) against TFT, 200 turns;
 - one memory-one match: JOSS against RANDOM, 200 turns;
 - one default round robin: the ten-player default roster, 5 iterations of
-  200-turn matches (275 matches, 55,000 turns).
+  200-turn matches (275 matches, 55,000 turns);
+- one stationary solve: ``analysis.stationary`` on a prebuilt chain, for
+  the ergodic GTFT-JOSS pair and for WSLS-ALLC, whose chain has two closed
+  classes (three rounds only: versions that simulate such chains take
+  about 14 s per solve).
 
 The ``decide`` cache is emptied before every round, so that a round costs
 what it costs in a fresh process.  The same file runs against any version
@@ -27,6 +31,7 @@ import random
 import pytest
 
 from predipd import predictor
+from predipd.analysis import build_chain, stationary
 from predipd.core import DEFAULT_PAYOFFS, OUTCOMES
 from predipd.engine import (
     MatchConfig,
@@ -100,3 +105,10 @@ def test_default_round_robin(benchmark, master_seed):
     cfg = MatchConfig(n_turns=200)
     benchmark.pedantic(run_round_robin, args=(roster, cfg, 5, master_seed),
                        setup=predictor.decide.cache_clear, rounds=5, iterations=1)
+
+
+@pytest.mark.parametrize("pair, rounds", [(("GTFT", "JOSS"), 200), (("WSLS", "ALLC"), 3)],
+                         ids=["GTFT-JOSS", "WSLS-ALLC"])
+def test_stationary_solve(benchmark, pair, rounds):
+    chain = build_chain(*(builtin(name) for name in pair))
+    benchmark.pedantic(stationary, args=(chain,), rounds=rounds, iterations=1)

@@ -2,9 +2,9 @@
 
 ZDGTFT-2 enforces Px = 2*Py - 3 and ZDEXTORT-2 enforces Px = 2*Py - 1
 against *any* memory-one opponent.  We verify both relations analytically:
-each pairing induces a four-state Markov chain whose stationary
-distribution yields the long-run payoffs; the residual from the claimed
-line should be at numerical zero whenever the chain is ergodic.
+each pairing induces a four-state Markov chain whose long-run distribution,
+solved exactly, yields the long-run payoffs; the residual from the claimed
+line is exactly zero, whether the chain has one closed class or several.
 """
 
 from predipd import BUILTIN_STRATEGIES, builtin, zd_residual

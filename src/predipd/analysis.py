@@ -1,53 +1,64 @@
 """Exact long-run analysis of memory-one pairs and tournament-level sweeps.
 
 A pair of memory-one strategies induces a 4-state Markov chain over the
-joint outcomes (CC, CD, DC, DD) in the first player's orientation.  When
-the chain has a unique stationary distribution we solve for it directly;
-otherwise we fall back to seeded simulation from a uniform random initial
-state, and say so in the result.
+joint outcomes (CC, CD, DC, DD) in the first player's orientation.  Its
+long-run law from a uniform start is solved exactly, in integers: each closed
+class's stationary law (Markov chain tree theorem), weighted by the chance of
+ending in that class (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. III).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace as dc_replace
+from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
-from .core import Action, OUTCOMES, PayoffMatrix, DEFAULT_PAYOFFS
+from .core import DEFAULT_PAYOFFS, MIRROR_CODE, PayoffMatrix
 from .engine import MatchConfig, PlayerSpec, PredictorSpec, run_round_robin
 from .strategies import MemoryOneStrategy
 
-_RANK_TOL = 1e-10
-
 DIRECT_SOLVE = "direct-solve"
-SIMULATION_FALLBACK = "simulation-fallback"
+CLASS_MIXTURE = "class-mixture"
+#: Former name of the multi-class method; perfbench/selftest.py still uses it.
+SIMULATION_FALLBACK = CLASS_MIXTURE
+
+
+def _scaled(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A row of fractions as integers over the lcm of its denominators."""
+    total = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (total // v.denominator) for v in row], total
 
 
 @dataclass(frozen=True)
 class JointChain:
-    """Row-stochastic 4x4 transition matrix over joint outcomes."""
+    """Exact row-stochastic 4x4 transition matrix over joint outcomes; also
+    held as integers, ``transition[i][j] == weights[i][j] / totals[i]``."""
 
-    transition: np.ndarray
+    transition: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
-        if t.shape != (4, 4):
-            raise ValueError(f"transition matrix must be 4x4, got {t.shape}")
-        if np.any(t < 0) or np.any(t > 1):
+        rows = tuple(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
+                     for row in self.transition)
+        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+            raise ValueError("transition matrix must be 4x4")
+        weights, totals = zip(*(_scaled(row) for row in rows))
+        if any(w < 0 for row in weights for w in row):
             raise ValueError("transition entries must lie in [0, 1]")
-        if np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-12:
+        if any(sum(row) != total for row, total in zip(weights, totals)):
             raise ValueError("transition rows must sum to 1")
-        t.setflags(write=False)
-        object.__setattr__(self, "transition", t)
+        object.__setattr__(self, "transition", rows)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "totals", totals)
 
 
 @dataclass(frozen=True)
 class StationaryResult:
-    distribution: np.ndarray
-    method: str  # DIRECT_SOLVE or SIMULATION_FALLBACK
-    ergodic: bool
+    distribution: tuple[Fraction, ...]
+    method: str  # DIRECT_SOLVE (one closed class) or CLASS_MIXTURE
+    ergodic: bool  # one closed class, so the stationary law is unique
 
 
 @dataclass(frozen=True)
@@ -68,76 +79,86 @@ class ZdCheck:
     method: str
     ergodic: bool
 
-    @property
-    def approximate(self) -> bool:
-        return self.method == SIMULATION_FALLBACK
-
 
 def build_chain(x: MemoryOneStrategy, y: MemoryOneStrategy) -> JointChain:
     """Joint transition matrix of the pair, in x's orientation."""
-    t = np.zeros((4, 4))
-    for i, state in enumerate(OUTCOMES):
-        px = float(x.coop_prob[state])
-        py = float(y.coop_prob[state.mirror])
-        for j, nxt in enumerate(OUTCOMES):
-            pa = px if nxt.self_action is Action.C else 1.0 - px
-            pb = py if nxt.opponent_action is Action.C else 1.0 - py
-            t[i, j] = pa * pb
-    return JointChain(t)
+    xv, yv = x.vector(), y.vector()
+    rows = []
+    for i in range(4):
+        a, b = xv[i].numerator, xv[i].denominator
+        c, d = yv[MIRROR_CODE[i]].numerator, yv[MIRROR_CODE[i]].denominator
+        rows.append((Fraction(a * c, b * d), Fraction(a * (d - c), b * d),
+                     Fraction((b - a) * c, b * d), Fraction((b - a) * (d - c), b * d)))
+    return JointChain(tuple(rows))
 
 
-def _null_space_dimension(transition: np.ndarray) -> int:
-    singular = np.linalg.svd(transition.T - np.eye(4), compute_uv=False)
-    return int(np.sum(singular < _RANK_TOL))
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix of order 0 to 3."""
+    if len(m) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return m[0][0] if m else 1
 
 
-def _simulate_frequencies(
-    transition: np.ndarray, steps: int, replicas: int, seed: int
-) -> np.ndarray:
-    """Empirical state frequencies, all replicas pooled, uniform random starts."""
-    rng = np.random.default_rng(seed)
-    cumulative = np.cumsum(transition, axis=1)
-    states = rng.integers(0, 4, size=replicas)
-    counts = np.zeros(4, dtype=np.int64)
-    for _ in range(steps):
-        u = rng.random(replicas)
-        states = (u[:, None] > cumulative[states]).sum(axis=1)
-        counts += np.bincount(states, minlength=4)
-    return counts / counts.sum()
+def _block(m: list[list[int]], states: Sequence[int]) -> list[list[int]]:
+    return [[m[i][j] for j in states] for i in states]
 
 
-def stationary(
-    chain: JointChain,
-    *,
-    fallback_steps: int = 10**6,
-    fallback_replicas: int = 100,
-    fallback_seed: int = 0,
-) -> StationaryResult:
-    """Stationary distribution: rank-revealing solve, or simulation if not unique."""
-    t = chain.transition
-    if _null_space_dimension(t) == 1:
-        a = np.vstack([t.T - np.eye(4), np.ones(4)])
-        b = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        dist, *_ = np.linalg.lstsq(a, b, rcond=None)
-        dist = np.clip(dist, 0.0, None)
-        dist = dist / dist.sum()
-        return StationaryResult(distribution=dist, method=DIRECT_SOLVE, ergodic=True)
-    dist = _simulate_frequencies(t, fallback_steps, fallback_replicas, fallback_seed)
-    return StationaryResult(distribution=dist, method=SIMULATION_FALLBACK, ergodic=False)
+def _tree_weights(lap, totals, states) -> list[int]:
+    """Markov chain tree theorem: w_j = D_j * det(L on ``states`` without j) is
+    proportional to the stationary law if ``states`` hold one closed class."""
+    return [totals[j] * _det(_block(lap, [k for k in states if k != j])) for j in states]
+
+
+def stationary(chain: JointChain) -> StationaryResult:
+    """Exact long-run distribution of the chain from a uniform start."""
+    weights, totals = chain.weights, chain.totals
+    lap = [[(totals[i] if i == j else 0) - weights[i][j] for j in range(4)]
+           for i in range(4)]  # L = diag(D) - W
+    tree = _tree_weights(lap, totals, range(4))
+    total = sum(tree)
+    if total:  # one closed class: the same law as the mixture below, at half the cost
+        return StationaryResult(tuple(Fraction(w, total) for w in tree), DIRECT_SOLVE, True)
+    # several closed classes: the minimal sets of states no transition leaves
+    closed = [set(c) for n in range(1, 4) for c in combinations(range(4), n)
+              if not any(weights[i][j] for i in c for j in range(4) if j not in c)]
+    classes = [sorted(c) for c in closed if not any(other < c for other in closed)]
+    transient = [i for i in range(4) if not any(i in c for c in classes)]
+    lap_t = _block(lap, transient)
+    det = _det(lap_t)
+    dist = [Fraction(0)] * 4
+    for members in classes:
+        # 4 det times the chance of ending in the class: its start mass plus the
+        # absorption chances x of L_TT x = (weight into it), by Cramer's rule
+        into = [sum(weights[i][j] for j in members) for i in transient]
+        ending = len(members) * det + sum(
+            _det([row[:k] + [b] + row[k + 1:] for row, b in zip(lap_t, into)])
+            for k in range(len(transient)))
+        tree = _tree_weights(lap, totals, members)
+        for j, w in zip(members, tree):
+            dist[j] = Fraction(ending * w, 4 * det * sum(tree))
+    return StationaryResult(tuple(dist), CLASS_MIXTURE, False)
+
+
+def _exact_payoffs(x, y, pm: PayoffMatrix) -> tuple[Fraction, Fraction, StationaryResult]:
+    result = stationary(build_chain(x, y))
+    mass, mass_total = _scaled(result.distribution)
+    pay, pay_total = _scaled(pm.focal)
+    den = mass_total * pay_total
+    return (Fraction(sum(m * pay[k] for k, m in enumerate(mass)), den),
+            Fraction(sum(m * pay[MIRROR_CODE[k]] for k, m in enumerate(mass)), den), result)
 
 
 def long_run_payoffs(
     x: MemoryOneStrategy,
     y: MemoryOneStrategy,
     pm: PayoffMatrix = DEFAULT_PAYOFFS,
-    **stationary_kwargs,
 ) -> LongRunPayoffs:
     """Per-turn payoffs of both players under the chain's long-run distribution."""
-    result = stationary(build_chain(x, y), **stationary_kwargs)
-    r, s, t, p = (float(pm.reward), float(pm.sucker), float(pm.temptation), float(pm.punishment))
-    px = float(result.distribution @ np.array([r, s, t, p]))
-    py = float(result.distribution @ np.array([r, t, s, p]))
-    return LongRunPayoffs(payoff_x=px, payoff_y=py, method=result.method, ergodic=result.ergodic)
+    px, py, result = _exact_payoffs(x, y, pm)
+    return LongRunPayoffs(float(px), float(py), result.method, result.ergodic)
 
 
 def zd_residual(
@@ -146,18 +167,12 @@ def zd_residual(
     slope: float,
     intercept: float,
     pm: PayoffMatrix = DEFAULT_PAYOFFS,
-    **stationary_kwargs,
 ) -> ZdCheck:
-    """How far the pair's long-run payoffs sit from Px = slope*Py + intercept."""
-    lr = long_run_payoffs(x, y, pm, **stationary_kwargs)
-    residual = lr.payoff_x - (slope * lr.payoff_y + intercept)
-    return ZdCheck(
-        residual=residual,
-        payoff_x=lr.payoff_x,
-        payoff_y=lr.payoff_y,
-        method=lr.method,
-        ergodic=lr.ergodic,
-    )
+    """How far the pair's long-run payoffs sit from Px = slope*Py + intercept,
+    computed exactly and rounded once."""
+    px, py, result = _exact_payoffs(x, y, pm)
+    residual = px - (Fraction(slope) * py + Fraction(intercept))
+    return ZdCheck(float(residual), float(px), float(py), result.method, result.ergodic)
 
 
 def simulate_long_run(
@@ -168,10 +183,10 @@ def simulate_long_run(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Single-trajectory empirical payoffs; independent check on the solver."""
-    chain = build_chain(x, y)
-    thresholds = np.cumsum(chain.transition, axis=1)[:, :3].tolist()
-    pay_x = [float(pm.payoff(o)[0]) for o in OUTCOMES]
-    pay_y = [float(pm.payoff(o)[1]) for o in OUTCOMES]
+    thresholds = [(float(a), float(a + b), float(a + b + c))
+                  for a, b, c, _ in build_chain(x, y).transition]
+    pay_x = [float(v) for v in pm.focal]
+    pay_y = [pay_x[MIRROR_CODE[k]] for k in range(4)]
     rng = random.Random(seed)
     state = rng.randrange(4)
     total_x = 0.0
@@ -232,17 +247,20 @@ def exploration_sweep(
 
 
 def fit_inverse_sqrt(series: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
-    """Least squares fit of value ~ a + b / sqrt(n); returns (a, b, rms residual)."""
+    """Least squares fit of value ~ a + b / sqrt(n); returns (a, b, rms residual).
+
+    The normal equations are solved exactly over the float inputs and the
+    results rounded once; with a single n, b is 0 and a is the mean."""
     if not series:
         raise ValueError("series must not be empty")
-    n = np.array([pt[0] for pt in series], dtype=float)
-    v = np.array([pt[1] for pt in series], dtype=float)
-    if np.any(n < 1):
+    if any(n < 1 for n, _ in series):
         raise ValueError("all n values must be >= 1")
-    if len(series) == 1:
-        return float(v[0]), 0.0, 0.0
-    basis = np.column_stack([np.ones_like(n), 1.0 / np.sqrt(n)])
-    coeffs, *_ = np.linalg.lstsq(basis, v, rcond=None)
-    residuals = v - basis @ coeffs
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    return float(coeffs[0]), float(coeffs[1]), rms
+    xs = [Fraction(1.0 / math.sqrt(n)) for n, _ in series]
+    vs = [Fraction(v) for _, v in series]
+    m, sx, sv = len(xs), sum(xs), sum(vs)
+    sxx, sxv = sum(x * x for x in xs), sum(x * v for x, v in zip(xs, vs))
+    det = m * sxx - sx * sx
+    b = (m * sxv - sx * sv) / det if det else Fraction(0)
+    a = (sv - b * sx) / m
+    mean_square = sum((v - a - b * x) ** 2 for x, v in zip(xs, vs)) / m
+    return float(a), float(b), math.sqrt(mean_square)

@@ -170,6 +170,10 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, key)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{key}: {value!r} is not an integer")
+    for key in ("trace", "randomize_initial"):
+        value = getattr(cfg, key)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key}: {value!r} is not true or false")
     if not _is_number(cfg.p_exp):
         raise ConfigError(f"p_exp: {cfg.p_exp!r} is not a number")
     if not isinstance(cfg.payoffs, (list, tuple)):
@@ -194,7 +198,10 @@ def _validate(cfg: RunConfig) -> None:
         if not 0 <= g <= 1:
             raise ConfigError(f"grid: value {g} outside [0, 1]")
     cfg.payoff_matrix()
-    cfg.player_specs()
+    names = [spec.name for spec in cfg.player_specs()]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"roster: duplicate player names {', '.join(repeated)}")
 
 
 def _fmt(x) -> str:
@@ -298,9 +305,10 @@ def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
 
 
 def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
-    rows = analysis.exploration_sweep(
-        cfg.player_specs(), cfg.match_config(), cfg.n_iter, cfg.grid, cfg.seed
-    )
+    specs = cfg.player_specs()
+    if not any(isinstance(spec, PredictorSpec) for spec in specs):
+        raise ConfigError(f"roster: sweep needs {PREDICTOR_NAME} in the roster")
+    rows = analysis.exploration_sweep(specs, cfg.match_config(), cfg.n_iter, cfg.grid, cfg.seed)
     lines = [cfg.header(), "p_exp,average,delta_vs_zdgtft2,place,wins"]
     for row in rows:
         lines.append(

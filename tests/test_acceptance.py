@@ -93,7 +93,7 @@ def test_criterion_3_win_counts(default_runs):
 def test_criterion_4_zd_relations():
     ok = True
     worst = 0.0
-    fallbacks = 0
+    multi_class = 0
     for zd_name, slope, intercept in (("ZDGTFT-2", 2.0, -3.0), ("ZDEXTORT-2", 2.0, -1.0)):
         zd = builtin(zd_name)
         for opponent in BUILTIN_STRATEGIES.values():
@@ -102,9 +102,9 @@ def test_criterion_4_zd_relations():
                 ok = ok and abs(check.residual) < 1e-9
                 worst = max(worst, abs(check.residual))
             else:
-                fallbacks += 1
+                multi_class += 1
                 ok = ok and abs(check.residual) < 1e-2
-    assert report(4, ok, f"max ergodic residual {worst:.2e}, {fallbacks} fallback pairings")
+    assert report(4, ok, f"max ergodic residual {worst:.2e}, {multi_class} multi-class pairings")
 
 
 def _self_play_without_exploration(seed, n_turns):

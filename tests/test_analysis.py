@@ -1,9 +1,17 @@
-import numpy as np
+import importlib.util
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+import predipd
 from predipd.analysis import (
+    CLASS_MIXTURE,
     DIRECT_SOLVE,
-    SIMULATION_FALLBACK,
     JointChain,
     build_chain,
     exploration_sweep,
@@ -13,39 +21,60 @@ from predipd.analysis import (
     stationary,
     zd_residual,
 )
+from predipd.core import OUTCOMES
 from predipd.engine import MatchConfig, MemoryOneSpec, PredictorSpec, run_round_robin
-from predipd.strategies import builtin
+from predipd.strategies import MemoryOneStrategy, builtin
 
-SMALL_FALLBACK = dict(fallback_steps=2_000, fallback_replicas=40, fallback_seed=1)
+QUARTER = Fraction(1, 4)
+
+
+def _load_reference():
+    """The benchmark's independent Gauss-Jordan solver, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _strategy(name, probs):
+    return MemoryOneStrategy(name, dict(zip(OUTCOMES, (Fraction(p) for p in probs))))
+
+
+GRIM = _strategy("GRIM", (1, 0, 0, 0))
 
 
 def test_joint_chain_validation():
     with pytest.raises(ValueError, match="4x4"):
-        JointChain(np.eye(3))
-    bad = np.full((4, 4), 0.3)
+        JointChain([[1, 0, 0]] * 3)
     with pytest.raises(ValueError, match="sum to 1"):
-        JointChain(bad)
-    with pytest.raises(ValueError):
-        JointChain(np.array([[1.2, -0.2, 0, 0]] + [[0.25] * 4] * 3))
+        JointChain([[Fraction(3, 10)] * 4] * 4)
+    with pytest.raises(ValueError, match="sum to 1"):
+        # floats are taken exactly: 0.1 + 0.2 + 0.3 + 0.4 is not 1 in binary
+        JointChain([[0.1, 0.2, 0.3, 0.4]] + [[QUARTER] * 4] * 3)
+    with pytest.raises(ValueError, match="lie in"):
+        JointChain([[Fraction(6, 5), Fraction(-1, 5), 0, 0]] + [[QUARTER] * 4] * 3)
+    chain = JointChain([[1, 0, 0, 0], [0.25] * 4, ["1/2", "1/2", 0, 0], [0, 0, 0, 1]])
+    assert chain.transition[1] == (QUARTER,) * 4
+    assert all(type(v) is Fraction for row in chain.transition for v in row)
 
 
 def test_chain_alld_vs_alld():
     chain = build_chain(builtin("ALLD"), builtin("ALLD"))
-    expected = np.zeros((4, 4))
-    expected[:, 3] = 1.0
-    assert np.array_equal(chain.transition, expected)
+    assert chain.transition == ((0, 0, 0, 1),) * 4
 
 
 def test_chain_random_vs_random():
     chain = build_chain(builtin("RANDOM"), builtin("RANDOM"))
-    assert np.array_equal(chain.transition, np.full((4, 4), 0.25))
+    assert chain.transition == ((QUARTER,) * 4,) * 4
 
 
 def test_chain_orientation_hand_check():
     # from DC, TFT (saw opponent cooperate) cooperates; WSLS saw CD on its
     # side and switches to defect -- so the next state is CD with certainty
     chain = build_chain(builtin("TFT"), builtin("WSLS"))
-    assert chain.transition[2].tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert chain.transition[2] == (0, 1, 0, 0)
 
 
 def test_chain_mirror_symmetry():
@@ -55,44 +84,74 @@ def test_chain_mirror_symmetry():
     mirror = [0, 2, 1, 3]  # CC, DC, CD, DD
     for i in range(4):
         for j in range(4):
-            assert fwd[i, j] == pytest.approx(rev[mirror[i], mirror[j]])
+            assert fwd[i][j] == rev[mirror[i]][mirror[j]]
 
 
 def test_stationary_absorbing_chain():
     result = stationary(build_chain(builtin("ALLD"), builtin("ALLD")))
     assert result.method == DIRECT_SOLVE and result.ergodic
-    assert np.allclose(result.distribution, [0, 0, 0, 1], atol=1e-12)
+    assert result.distribution == (0, 0, 0, 1)
 
 
 def test_stationary_uniform_chain():
     result = stationary(build_chain(builtin("RANDOM"), builtin("RANDOM")))
     assert result.method == DIRECT_SOLVE and result.ergodic
-    assert np.allclose(result.distribution, [0.25] * 4, atol=1e-12)
+    assert result.distribution == (QUARTER,) * 4
 
 
-def test_stationary_non_ergodic_falls_back_to_simulation():
-    # TFT against itself locks into whichever orbit the opening selects
-    result = stationary(build_chain(builtin("TFT"), builtin("TFT")), **SMALL_FALLBACK)
-    assert result.method == SIMULATION_FALLBACK and not result.ergodic
-    assert result.distribution.sum() == pytest.approx(1.0)
-    assert np.all(result.distribution >= 0)
+def test_stationary_multi_class_chains_are_exact():
+    # TFT against itself keeps CC and DD and swaps CD with DC: three closed
+    # classes, each holding the uniform start's mass
+    result = stationary(build_chain(builtin("TFT"), builtin("TFT")))
+    assert result.method == CLASS_MIXTURE and not result.ergodic
+    assert result.distribution == (QUARTER,) * 4
+    # WSLS-ALLC: CC is absorbing and {DC} is closed; CD moves to DC and DD to CC
+    lr = long_run_payoffs(builtin("WSLS"), builtin("ALLC"))
+    assert (lr.payoff_x, lr.payoff_y) == (4.0, 1.5)
+    assert lr.method == CLASS_MIXTURE and not lr.ergodic
+
+
+def test_stationary_matches_the_reference_solver():
+    reference = _load_reference()
+    rng = random.Random(41)
+    multi_class = 0
+    for k in range(300):
+        # k/16 entries, with 0 and 1 drawn often so that chains have
+        # transient states and several closed classes
+        x, y = (
+            _strategy(f"{role}{k}", [rng.choice((0, 1, Fraction(rng.randint(0, 16), 16)))
+                                     for _ in OUTCOMES])
+            for role in "xy"
+        )
+        result = stationary(build_chain(x, y))
+        exact = reference.long_run(x.vector(), y.vector())
+        assert result.distribution == exact.distribution
+        assert all(type(v) is Fraction for v in result.distribution)
+        assert result.ergodic == exact.ergodic
+        assert result.method == (DIRECT_SOLVE if exact.ergodic else CLASS_MIXTURE)
+        multi_class += not exact.ergodic
+    assert multi_class >= 30
 
 
 def test_long_run_payoffs_landmarks():
     lr = long_run_payoffs(builtin("RANDOM"), builtin("RANDOM"))
-    assert lr.payoff_x == pytest.approx(2.25, abs=1e-12)
-    assert lr.payoff_y == pytest.approx(2.25, abs=1e-12)
+    assert (lr.payoff_x, lr.payoff_y) == (2.25, 2.25)
     lr = long_run_payoffs(builtin("ALLD"), builtin("ALLC"))
-    assert (lr.payoff_x, lr.payoff_y) == pytest.approx((5.0, 0.0), abs=1e-12)
+    assert (lr.payoff_x, lr.payoff_y) == (5.0, 0.0)
+    assert type(lr.payoff_x) is float and type(lr.payoff_y) is float
 
 
-@pytest.mark.parametrize("opponent", ["ALLD", "RANDOM", "GTFT", "WSLS"])
+@pytest.mark.parametrize("opponent", ["ALLD", "RANDOM", "GTFT", "WSLS", "GRIM"])
 def test_zd_linear_relations(opponent):
-    check = zd_residual(builtin("ZDGTFT-2"), builtin(opponent), 2.0, -3.0)
-    assert check.ergodic and abs(check.residual) < 1e-9
-    check = zd_residual(builtin("ZDEXTORT-2"), builtin(opponent), 2.0, -1.0)
-    assert check.ergodic and abs(check.residual) < 1e-9
-    assert not check.approximate
+    # against GRIM, ZDGTFT-2 settles either in CC or in {CD, DD} (two closed
+    # classes); ZDEXTORT-2 leaves CC, so DD is the one closed class
+    y = GRIM if opponent == "GRIM" else builtin(opponent)
+    for zd, intercept in (("ZDGTFT-2", -3.0), ("ZDEXTORT-2", -1.0)):
+        check = zd_residual(builtin(zd), y, 2.0, intercept)
+        assert check.residual == 0.0 and type(check.residual) is float
+        multi_class = opponent == "GRIM" and zd == "ZDGTFT-2"
+        assert check.ergodic == (not multi_class)
+        assert check.method == (CLASS_MIXTURE if multi_class else DIRECT_SOLVE)
 
 
 def test_simulation_cross_checks_the_solver():
@@ -100,6 +159,14 @@ def test_simulation_cross_checks_the_solver():
     lr = long_run_payoffs(builtin("RANDOM"), builtin("ZDGTFT-2"))
     assert px == pytest.approx(lr.payoff_x, abs=0.02)
     assert py == pytest.approx(lr.payoff_y, abs=0.02)
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(predipd.__file__).resolve().parents[1]))
+    code = "import sys, predipd.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_single_point_matches_plain_tournament():
@@ -143,6 +210,8 @@ def test_fit_constant_series():
 
 def test_fit_degenerate_inputs():
     assert fit_inverse_sqrt([(10, 1.7)]) == (1.7, 0.0, 0.0)
+    # one n only: b cannot be told apart from a, so the fit is the mean
+    assert fit_inverse_sqrt([(4, 1.0), (4, 2.0)]) == (1.5, 0.0, 0.5)
     with pytest.raises(ValueError):
         fit_inverse_sqrt([])
     with pytest.raises(ValueError):

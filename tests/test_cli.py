@@ -215,6 +215,27 @@ def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, yaml_text, command, key",
+    [
+        (["--roster", "TFT,TFT"], None, "tournament", "roster"),
+        (["--roster", "TFT,ALLD"], None, "sweep", "roster"),
+        ([], 'trace: "no"\n', "tournament", "trace"),
+        ([], "randomize_initial: 1\n", "tournament", "randomize_initial"),
+    ],
+)
+def test_bad_roster_and_flags_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_text,
+                                                     command, key):
+    if yaml_text is not None:
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml_text)
+        flags = ["--config", str(path)]
+    rc, _, err = run_cli([*flags, "--out", str(tmp_path / "out"), command], capsys)
+    assert rc == 2
+    assert err.startswith(f"error: {key}:")
+    assert not (tmp_path / "out").exists()
+
+
 EVIL_ROSTER = "roster:\n  - TFT\n  - name: ../evil\n    probs: [1, 0, 1, 0]\n"
 
 
