@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-import yaml
-
 from . import analysis, engine
-from .core import PayoffMatrix
+from .core import OUTCOMES, PayoffMatrix
 from .engine import (
     MatchConfig,
     MemoryOneSpec,
@@ -46,26 +44,139 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
+def _rational(key: str, value) -> Fraction:
+    """A config number as an exact rational; the error names the key."""
+    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
+        raise ConfigError(f"{key}: {value!r} is not a number")
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{key}: {value!r} is not a number") from None
+
+
+def _payoff_matrix(values) -> PayoffMatrix:
+    pm = PayoffMatrix(*[_rational("payoffs", v) for v in values])
+    bad = pm.violations()
+    if bad:
+        raise ConfigError(f"payoffs: {'; '.join(bad)}")
+    return pm
+
+
+def _strategy(entry) -> MemoryOneStrategy:
+    """A roster entry other than PREDICTOR: a builtin name or a custom mapping."""
+    if isinstance(entry, str):
+        try:
+            return builtin(entry)
+        except UnknownStrategyError as exc:
+            raise ConfigError(f"roster: {exc}") from None
+    if not isinstance(entry, dict):
+        raise ConfigError(f"roster: entry {entry!r} must be a name or a mapping")
+    try:
+        name = entry["name"]
+        probs = entry["probs"]
+    except KeyError as exc:
+        raise ConfigError(f"roster: custom strategy missing key {exc}") from None
+    if not isinstance(name, str):
+        raise ConfigError(f"roster: custom strategy name {name!r} is not a string")
+    if not isinstance(probs, (list, tuple)) or len(probs) != 4:
+        raise ConfigError(f"roster: {name}: probs must be a list of 4 entries")
+    for k, p in enumerate(probs):
+        value = _rational(f"roster: {name}: probs[{k}]", p)
+        if not 0 <= value <= 1:
+            raise ConfigError(f"roster: {name}: probs[{k}] = {p} outside [0, 1]")
+    try:
+        policy = InitialPolicy(entry.get("initial", "C"))
+    except ValueError:
+        raise ConfigError(f"roster: {name}: initial must be one of C, D, R") from None
+    return MemoryOneStrategy(
+        name=name,
+        coop_prob=dict(zip(OUTCOMES, (Fraction(str(p)) for p in probs))),
+        initial_policy=policy,
+    )
+
+
+# Which values each key takes.  A predicate says whether a value, from a YAML
+# file or a flag alike, has the key's shape; the roster and payoff ones also
+# raise a ConfigError naming the key for a bad entry.  None rewrites a value:
+# the CSV header prints it as spelled (`p_exp: 1` gives 1, `--p-exp 1` 1.0).
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_fraction(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+
+
+def _is_payoffs(values) -> bool:
+    if not isinstance(values, (list, tuple)) or len(values) != 4:
+        return False
+    _payoff_matrix(values)
+    return True
+
+
+def _is_roster(entries) -> bool:
+    if not isinstance(entries, (list, tuple)) or not entries:
+        return False
+    names = [e if e == PREDICTOR_NAME else _strategy(e).name for e in entries]
+    for name in names:
+        # a name is a CSV field, joined by ';' in the header line
+        if any(ch in ",;" or not ch.isprintable() for ch in name):
+            raise ConfigError(f"roster: name {name!r} holds ',', ';' or a non-printable character")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"roster: duplicate player names {', '.join(repeated)}")
+    return True
+
+
+def _parsed(convert):
+    """Flag text -> ``convert(text)``, or the text itself when ``convert``
+    refuses it, so that the key refuses it as it would the YAML string."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            return text
+    return parse
+
+
+def _key(flag: str, default, parse, valid, doc: str):
+    """One config key: its flag, default, flag parser (``bool``: a switch that
+    sets true), validity predicate, and ``doc``, what a valid value is."""
+    return field(default=default, metadata={"flag": flag, "parse": parse, "valid": valid, "doc": doc})
+
+
 @dataclass
 class RunConfig:
-    roster: list = field(default_factory=lambda: list(DEFAULT_ROSTER))
-    n_turns: int = 200
-    n_iter: int = 5
-    p_exp: float = 0.1
-    payoffs: tuple = (3, 0, 5, 1)
-    randomize_initial: bool = False
-    seed: int = 0
-    out: str = "."
-    window: int = 5
-    grid: list = field(default_factory=lambda: list(DEFAULT_GRID))
-    trace: bool = False
+    roster: list | tuple = _key("--roster", tuple(DEFAULT_ROSTER),
+                                lambda text: [n.strip() for n in text.split(",") if n.strip()],
+                                _is_roster, "a non-empty list of strategy names")
+    n_turns: int = _key("--turns", 200, _parsed(int), _is_count, "an integer >= 1")
+    n_iter: int = _key("--iters", 5, _parsed(int), _is_count, "an integer >= 1")
+    p_exp: float = _key("--p-exp", 0.1, _parsed(float), _is_fraction, "a number in [0, 1]")
+    payoffs: list | tuple = _key("--payoffs", (3, 0, 5, 1), lambda text: text.split(","),
+                                 _is_payoffs, "a list of 4 values R,S,T,P")
+    randomize_initial: bool = _key("--randomize-initial", False, bool, _is_bool, "true or false")
+    seed: int = _key("--seed", 0, _parsed(int), _is_int, "an integer")
+    out: str = _key("--out", ".", str, lambda v: isinstance(v, str) and "\0" not in v,
+                    "a directory path")
+    window: int = _key("--window", 5, _parsed(int), _is_count, "an integer >= 1")
+    grid: list | tuple = _key("--grid", tuple(DEFAULT_GRID),
+                              lambda text: [_parsed(float)(g) for g in text.split(",")],
+                              lambda v: isinstance(v, (list, tuple)) and all(map(_is_fraction, v)),
+                              "a list of numbers in [0, 1]")
+    trace: bool = _key("--trace", False, bool, _is_bool, "true or false")
 
     def payoff_matrix(self) -> PayoffMatrix:
-        pm = PayoffMatrix(*[_rational("payoffs", v) for v in self.payoffs])
-        bad = pm.violations()
-        if bad:
-            raise ConfigError(f"payoffs: {'; '.join(bad)}")
-        return pm
+        return _payoff_matrix(self.payoffs)
 
     def match_config(self) -> MatchConfig:
         return MatchConfig(
@@ -75,46 +186,11 @@ class RunConfig:
         )
 
     def player_specs(self) -> list[PlayerSpec]:
-        return [self._spec(entry) for entry in self.roster]
-
-    def _spec(self, entry) -> PlayerSpec:
-        if isinstance(entry, str):
-            if entry == PREDICTOR_NAME:
-                return PredictorSpec(p_exp=self.p_exp)
-            try:
-                return MemoryOneSpec(builtin(entry))
-            except UnknownStrategyError as exc:
-                raise ConfigError(f"roster: {exc}") from None
-        if isinstance(entry, dict):
-            return MemoryOneSpec(self._custom_strategy(entry))
-        raise ConfigError(f"roster: entry {entry!r} must be a name or a mapping")
-
-    def _custom_strategy(self, entry: dict) -> MemoryOneStrategy:
-        try:
-            name = entry["name"]
-            probs = entry["probs"]
-        except KeyError as exc:
-            raise ConfigError(f"roster: custom strategy missing key {exc}") from None
-        if not isinstance(name, str):
-            raise ConfigError(f"roster: custom strategy name {name!r} is not a string")
-        if not isinstance(probs, (list, tuple)) or len(probs) != 4:
-            raise ConfigError(f"roster: {name}: probs must be a list of 4 entries")
-        for k, p in enumerate(probs):
-            value = _rational(f"roster: {name}: probs[{k}]", p)
-            if not 0 <= value <= 1:
-                raise ConfigError(f"roster: {name}: probs[{k}] = {p} outside [0, 1]")
-        initial = entry.get("initial", "C")
-        try:
-            policy = InitialPolicy(initial)
-        except ValueError:
-            raise ConfigError(f"roster: {name}: initial must be one of C, D, R") from None
-        from .core import OUTCOMES
-
-        return MemoryOneStrategy(
-            name=name,
-            coop_prob=dict(zip(OUTCOMES, (Fraction(str(p)) for p in probs))),
-            initial_policy=policy,
-        )
+        return [
+            PredictorSpec(p_exp=self.p_exp) if entry == PREDICTOR_NAME
+            else MemoryOneSpec(_strategy(entry))
+            for entry in self.roster
+        ]
 
     def header(self) -> str:
         payoffs = ",".join(str(v) for v in self.payoffs)
@@ -126,82 +202,33 @@ class RunConfig:
         )
 
 
-_CONFIG_KEYS = {
-    "roster", "n_turns", "n_iter", "p_exp", "payoffs", "randomize_initial",
-    "seed", "out", "window", "grid", "trace",
-}
+def _read_config(path: str) -> dict:
+    import yaml  # only runs that name a config file pay for importing PyYAML
 
-
-def _rational(key: str, value) -> Fraction:
-    """A config number as an exact rational; the error names the key."""
-    if not isinstance(value, (int, float, str)) or isinstance(value, bool):
-        raise ConfigError(f"{key}: {value!r} is not a number")
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{key}: {value!r} is not a number") from None
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        with open(path, "rb") as fh:
+            loaded = yaml.safe_load(fh) or {}
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int too long to convert
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path}: top level must be a mapping")
+    keys = {f.name for f in fields(RunConfig)}
+    for key in loaded:
+        if key not in keys:
+            raise ConfigError(f"config file {path}: unknown key {key!r}")
+    return loaded
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then config file, then explicit overrides."""
-    cfg = RunConfig()
-    if path is not None:
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path}: top level must be a mapping")
-        for key, value in loaded.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"config file {path}: unknown key {key!r}")
-            setattr(cfg, key, value)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
-    _validate(cfg)
+    """Defaults, then config file, then explicit overrides; every key checked."""
+    values = _read_config(path) if path is not None else {}
+    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    cfg = RunConfig(**values)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not f.metadata["valid"](value):
+            raise ConfigError(f"{f.name}: {value!r} is not {f.metadata['doc']}")
     return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    for key in ("n_turns", "n_iter", "seed", "window"):
-        value = getattr(cfg, key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{key}: {value!r} is not an integer")
-    for key in ("trace", "randomize_initial"):
-        value = getattr(cfg, key)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key}: {value!r} is not true or false")
-    if not _is_number(cfg.p_exp):
-        raise ConfigError(f"p_exp: {cfg.p_exp!r} is not a number")
-    if not isinstance(cfg.payoffs, (list, tuple)):
-        raise ConfigError(f"payoffs: {cfg.payoffs!r} is not a list of 4 values R,S,T,P")
-    if not isinstance(cfg.grid, (list, tuple)) or not all(_is_number(g) for g in cfg.grid):
-        raise ConfigError(f"grid: {cfg.grid!r} is not a list of numbers")
-    if not isinstance(cfg.roster, list):
-        raise ConfigError(f"roster: {cfg.roster!r} is not a list")
-    if not isinstance(cfg.out, str):
-        raise ConfigError(f"out: {cfg.out!r} is not a path")
-    if cfg.n_turns < 1:
-        raise ConfigError("n_turns: must be at least 1")
-    if cfg.n_iter < 1:
-        raise ConfigError("n_iter: must be at least 1")
-    if not 0 <= cfg.p_exp <= 1:
-        raise ConfigError(f"p_exp: {cfg.p_exp} outside [0, 1]")
-    if len(cfg.payoffs) != 4:
-        raise ConfigError("payoffs: expected exactly 4 values R,S,T,P")
-    if cfg.window < 1:
-        raise ConfigError("window: must be at least 1")
-    for g in cfg.grid:
-        if not 0 <= g <= 1:
-            raise ConfigError(f"grid: value {g} outside [0, 1]")
-    cfg.payoff_matrix()
-    names = [spec.name for spec in cfg.player_specs()]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ConfigError(f"roster: duplicate player names {', '.join(repeated)}")
 
 
 def _fmt(x) -> str:
@@ -283,16 +310,8 @@ def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
     for name in (name_a, name_b):
         if name not in specs:
             raise ConfigError(f"roster: match player {name!r} not in roster")
-    match_cfg = cfg.match_config()
-    rec = play_match(
-        specs[name_a], specs[name_b],
-        engine.MatchConfig(
-            n_turns=match_cfg.n_turns,
-            payoff=match_cfg.payoff,
-            randomize_opponent_initial=match_cfg.randomize_opponent_initial,
-            seed=mix_seed(cfg.seed, 0x4D41),
-        ),
-    )
+    match_cfg = replace(cfg.match_config(), seed=mix_seed(cfg.seed, 0x4D41))
+    rec = play_match(specs[name_a], specs[name_b], match_cfg)
     series_lines = [cfg.header(), "turn,mean_a,mean_b"]
     series_a = rec.cumulative_means(0, cfg.window)
     series_b = rec.cumulative_means(1, cfg.window)
@@ -308,6 +327,8 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     specs = cfg.player_specs()
     if not any(isinstance(spec, PredictorSpec) for spec in specs):
         raise ConfigError(f"roster: sweep needs {PREDICTOR_NAME} in the roster")
+    if not any(spec.name == "ZDGTFT-2" for spec in specs):
+        raise ConfigError("roster: sweep needs ZDGTFT-2 in the roster")
     rows = analysis.exploration_sweep(specs, cfg.match_config(), cfg.n_iter, cfg.grid, cfg.seed)
     lines = [cfg.header(), "p_exp,average,delta_vs_zdgtft2,place,wins"]
     for row in rows:
@@ -339,6 +360,8 @@ def cmd_zd_check(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_timeseries(cfg: RunConfig) -> dict[str, str]:
+    if cfg.window > cfg.n_turns:
+        raise ConfigError(f"window: {cfg.window} is longer than the {cfg.n_turns}-turn match")
     result = run_round_robin(cfg.player_specs(), cfg.match_config(), cfg.n_iter, cfg.seed)
     subject = PREDICTOR_NAME if PREDICTOR_NAME in result.roster else result.roster[0]
     series = time_series(result, subject, cfg.window)
@@ -353,71 +376,43 @@ def cmd_timeseries(cfg: RunConfig) -> dict[str, str]:
     return {"timeseries.csv": "\n".join(lines) + "\n"}
 
 
+#: subcommand -> (function, names of the positionals it takes after the config)
+COMMANDS = {
+    "tournament": (cmd_tournament, ()),
+    "match": (cmd_match, ("player_a", "player_b")),
+    "sweep": (cmd_sweep, ()),
+    "zd-check": (cmd_zd_check, ()),
+    "timeseries": (cmd_timeseries, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="predipd", description=__doc__)
     parser.add_argument("--config", help="YAML config file")
-    parser.add_argument("--turns", type=int, dest="n_turns")
-    parser.add_argument("--iters", type=int, dest="n_iter")
-    parser.add_argument("--p-exp", type=float, dest="p_exp")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--roster", help="comma-separated strategy names")
-    parser.add_argument("--randomize-initial", action="store_true", default=None,
-                        dest="randomize_initial")
-    parser.add_argument("--payoffs", help="R,S,T,P")
-    parser.add_argument("--out")
-    parser.add_argument("--trace", action="store_true", default=None)
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--grid", help="comma-separated exploration fractions (sweep)")
-
+    for f in fields(RunConfig):
+        flag, doc = f.metadata["flag"], f.metadata["doc"]
+        if f.metadata["parse"] is bool:
+            parser.add_argument(flag, dest=f.name, action="store_true", default=None,
+                                help=f"set {f.name} to true")
+        else:
+            comma = ", comma-separated" if isinstance(f.default, tuple) else ""
+            parser.add_argument(flag, dest=f.name, help=doc + comma)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("tournament")
-    match = sub.add_parser("match")
-    match.add_argument("player_a")
-    match.add_argument("player_b")
-    sub.add_parser("sweep")
-    sub.add_parser("zd-check")
-    sub.add_parser("timeseries")
+    for name, (_, positionals) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for positional in positionals:
+            command.add_argument(positional)
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("n_turns", "n_iter", "p_exp", "seed", "randomize_initial",
-                    "out", "trace", "window")
-    }
-    if args.roster is not None:
-        overrides["roster"] = [name.strip() for name in args.roster.split(",") if name.strip()]
-    if args.payoffs is not None:
-        parts = args.payoffs.split(",")
-        if len(parts) != 4:
-            raise ConfigError("payoffs: expected exactly 4 values R,S,T,P")
-        overrides["payoffs"] = tuple(parts)
-    if args.grid is not None:
-        try:
-            overrides["grid"] = [float(g) for g in args.grid.split(",")]
-        except ValueError:
-            raise ConfigError(f"grid: {args.grid!r} is not a comma-separated list of numbers") from None
-    return overrides
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command, positionals = COMMANDS[args.command]
     try:
-        cfg = parse_config(args.config, _overrides_from_args(args))
-        if args.command == "tournament":
-            files = cmd_tournament(cfg)
-        elif args.command == "match":
-            files = cmd_match(cfg, args.player_a, args.player_b)
-        elif args.command == "sweep":
-            files = cmd_sweep(cfg)
-        elif args.command == "zd-check":
-            files = cmd_zd_check(cfg)
-        elif args.command == "timeseries":
-            files = cmd_timeseries(cfg)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown subcommand {args.command!r}")
+        flags = ((f, getattr(args, f.name)) for f in fields(RunConfig))
+        overrides = {f.name: f.metadata["parse"](raw) for f, raw in flags if raw is not None}
+        cfg = parse_config(args.config, overrides)
+        files = command(cfg, *(getattr(args, name) for name in positionals))
         for path in _write_outputs(cfg.out, files):
             print(path)
     except (ConfigError, OSError) as exc:

@@ -163,10 +163,10 @@ def test_simulation_cross_checks_the_solver():
 
 def test_cli_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(predipd.__file__).resolve().parents[1]))
-    code = "import sys, predipd.cli; print('numpy' in sys.modules)"
+    code = "import sys, predipd.cli; print('numpy' in sys.modules, 'yaml' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"  # PyYAML loads only with --config
 
 
 def test_sweep_single_point_matches_plain_tournament():

@@ -1,8 +1,13 @@
+import hashlib
 import os
+import tempfile
+from dataclasses import fields
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
-from predipd.cli import DEFAULT_ROSTER, ConfigError, main, parse_config, safe_filename
+from predipd.cli import DEFAULT_ROSTER, ConfigError, RunConfig, main, parse_config, safe_filename
 
 BASE = ["--turns", "30", "--iters", "1", "--seed", "3"]
 
@@ -68,6 +73,7 @@ def test_config_custom_strategy(tmp_path):
         ({"roster": ["TFT", "NOPE"]}, "roster"),
         ({"window": 0}, "window"),
         ({"grid": [0.5, 2.0]}, "grid"),
+        ({"out": "a\0b"}, "out"),
     ],
 )
 def test_validation_names_the_offending_key(overrides, fragment):
@@ -215,6 +221,9 @@ def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_t
     assert not (tmp_path / "out").exists()
 
 
+CUSTOM_NAMED = "roster:\n  - TFT\n  - name: {}\n    probs: [1, 0, 1, 0]\n"
+
+
 @pytest.mark.parametrize(
     "flags, yaml_text, command, key",
     [
@@ -222,18 +231,50 @@ def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_t
         (["--roster", "TFT,ALLD"], None, "sweep", "roster"),
         ([], 'trace: "no"\n', "tournament", "trace"),
         ([], "randomize_initial: 1\n", "tournament", "randomize_initial"),
+        (["--roster", ","], None, "tournament", "roster"),
+        (["--roster", ","], None, "timeseries", "roster"),
+        (["--roster", ","], None, "zd-check", "roster"),
+        (["--window", "500"], None, "timeseries", "window"),
+        (["--roster", "TFT,PREDICTOR"], None, "sweep", "roster"),
+        (["--turns", "abc"], None, "tournament", "n_turns"),
+        ([], "a: [\n", "tournament", "config file {path}"),
+        ([], b"seed: \xff\n", "tournament", "config file {path}"),
+        ([], CUSTOM_NAMED.format('"a,b"'), "tournament", "roster"),
+        ([], CUSTOM_NAMED.format('"a;b"'), "tournament", "roster"),
+        ([], CUSTOM_NAMED.format('"a\\nb"'), "tournament", "roster"),
     ],
 )
 def test_bad_roster_and_flags_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_text,
                                                      command, key):
+    path = tmp_path / "run.yaml"
     if yaml_text is not None:
-        path = tmp_path / "run.yaml"
-        path.write_text(yaml_text)
+        path.write_bytes(yaml_text if isinstance(yaml_text, bytes) else yaml_text.encode())
         flags = ["--config", str(path)]
     rc, _, err = run_cli([*flags, "--out", str(tmp_path / "out"), command], capsys)
     assert rc == 2
-    assert err.startswith(f"error: {key}:")
+    assert err.startswith(f"error: {key.format(path=path)}:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, yaml_text",
+    [
+        (["--grid", "0.5,a"], "grid: [0.5, a]\n"),
+        (["--payoffs", "3,x,5,1"], "payoffs: [3, x, 5, 1]\n"),
+        (["--turns", "abc"], "n_turns: abc\n"),
+        (["--p-exp", "2"], "p_exp: 2.0\n"),
+        (["--roster", ","], "roster: []\n"),
+    ],
+)
+def test_flag_and_yaml_spellings_fail_alike(tmp_path, capsys, flags, yaml_text):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml_text)
+    errors = []
+    for argv in (flags, ["--config", str(path)]):
+        rc, _, err = run_cli([*argv, "--out", str(tmp_path / "out"), "sweep"], capsys)
+        assert rc == 2
+        errors.append(err)
+    assert errors[0] == errors[1]
 
 
 EVIL_ROSTER = "roster:\n  - TFT\n  - name: ../evil\n    probs: [1, 0, 1, 0]\n"
@@ -260,3 +301,187 @@ def test_safe_filename_keeps_plain_names():
     assert safe_filename("trace_../evil_vs_TFT.csv") == "trace_.._evil_vs_TFT.csv"
     assert safe_filename("..") == "_.."
     assert safe_filename("a b\\c") == "a_b_c"
+
+
+# Every CSV of every subcommand, written once from YAML spellings and once
+# from flags, pinned by sha256.  `p_exp: 1` and `--p-exp 1` print differently
+# in the header (1 against 1.0), as do `payoffs: [3.0, 0, 5, 1]` and the
+# default; the pins hold both spellings.
+PINNED_YAML = (
+    "n_turns: 30\nn_iter: 1\nseed: 3\np_exp: 1\npayoffs: [3.0, 0, 5, 1]\n"
+    "window: 7\ngrid: [0, 0.5]\nrandomize_initial: true\ntrace: true\n"
+    "roster:\n  - TFT\n  - ZDGTFT-2\n"
+    "  - name: GRIMLIKE\n    probs: ['1', '0', 0, 0.0]\n    initial: D\n  - PREDICTOR\n"
+)
+PINNED_FLAGS = [
+    "--turns", "30", "--iters", "1", "--seed", "3", "--p-exp", "1", "--payoffs", "3.0,0,5,1",
+    "--window", "7", "--grid", "0,0.5", "--randomize-initial", "--trace",
+    "--roster", "TFT, ZDGTFT-2,PREDICTOR",
+]
+PINNED_COMMANDS = {
+    "tournament": ["tournament"],
+    "match": ["match", "PREDICTOR", "ZDGTFT-2"],
+    "match-window-past-the-end": ["--window", "50", "match", "TFT", "PREDICTOR"],
+    "sweep": ["sweep"],
+    "zd-check": ["zd-check"],
+    "timeseries": ["timeseries"],
+}
+PINNED = {
+    "yaml tournament": {
+        "matrix.csv": "acdbf6fceb628a0b8e66427285c9d2a5cdf02713668480fcc63df69b8c2b5a5f",
+        "summary.csv": "cb625b6ac41747ec35cc51bc0ce6897e78cc05fd0b02afc02582562f2fc6088e",
+        "trace_0000_ZDGTFT-2_vs_ZDGTFT-2.csv": "0cd723097c2917ebcdd87135a91c551377d90aff6874fc7f96ee58f1e27433c6",
+        "trace_0001_ZDGTFT-2_vs_GRIMLIKE.csv": "93ad45ab586f96b0ba4b51a1be421f28e1016db0da596cf7450b58ec062f7fc0",
+        "trace_0002_ZDGTFT-2_vs_PREDICTOR.csv": "daf753b35f2441144503b709113a8b8a133c89c30127cd67db554a6b4ce96495",
+        "trace_0003_ZDGTFT-2_vs_TFT.csv": "0cd723097c2917ebcdd87135a91c551377d90aff6874fc7f96ee58f1e27433c6",
+        "trace_0004_GRIMLIKE_vs_GRIMLIKE.csv": "7d79fdb37b1a0601d4e05461210685fca511ab9210fab7109799b8da85fb1f66",
+        "trace_0005_GRIMLIKE_vs_PREDICTOR.csv": "939f8b0762bf9e30fa5d527361324e1707e872ec700adeec1903290dc016b0c1",
+        "trace_0006_GRIMLIKE_vs_TFT.csv": "2da8c7fe296cbe62797e7e143c329a943e17a8e731edc215732183fb5b8ccfe5",
+        "trace_0007_PREDICTOR_vs_PREDICTOR.csv": "c98119cfa4ee1849dfda68ba8c5abe28f0c505cb790123d0a7fa009f5de72357",
+        "trace_0008_PREDICTOR_vs_TFT.csv": "4904da79b4dbbea6420091705c1284dea3e0d6c9441e80b57b0c57c7c5d117c4",
+        "trace_0009_TFT_vs_TFT.csv": "0cd723097c2917ebcdd87135a91c551377d90aff6874fc7f96ee58f1e27433c6",
+    },
+    "yaml match": {
+        "series_PREDICTOR_vs_ZDGTFT-2.csv": "002d0498da1064c3aca4012eb23f4385f28ba225a5625ca69f93280b60c212a9",
+        "trace_PREDICTOR_vs_ZDGTFT-2.csv": "8c39f952b2b44e8e7bc3b184aea5f4ceeba2fbe117574673090f65360be4e9f8",
+    },
+    "yaml match-window-past-the-end": {
+        "series_TFT_vs_PREDICTOR.csv": "ec47832e6103036d2851ce336a8c36cb3889db402af2654e81fc798dab14628f",
+        "trace_TFT_vs_PREDICTOR.csv": "0bce81803798997fa82650b1de07a7447ecce6ff0d8be476722de7f2ed3dd7b3",
+    },
+    "yaml sweep": {
+        "sweep.csv": "06f8200c782b852452020fc38cfd78ffcad090c647bf4ae556fc2dbaeb8c18b8",
+    },
+    "yaml zd-check": {
+        "zd_check.csv": "a1b31ca31c07727230968add3eed0707e4aeeb74ec970b556139210e85228a67",
+    },
+    "yaml timeseries": {
+        "timeseries.csv": "652f2aa73636c8fd7175f264524d55b19fb0f5bfed6e35cb70eda5b091c70350",
+    },
+    "flags tournament": {
+        "matrix.csv": "c303e93d86f7d29f6b4def55269c654f23c93ffb17fe72d3da541b1d9dd3a594",
+        "summary.csv": "1eaf1c844a9eb8cbf9cac5bdf5f9ffd4ea00755653ddd554cf7f9facfa4dc0ca",
+        "trace_0000_ZDGTFT-2_vs_ZDGTFT-2.csv": "9bd9a3546fd14f0898954f32d9b1fd56254b22c8e650c85f1eafb664c3eba1b6",
+        "trace_0001_ZDGTFT-2_vs_TFT.csv": "9bd9a3546fd14f0898954f32d9b1fd56254b22c8e650c85f1eafb664c3eba1b6",
+        "trace_0002_ZDGTFT-2_vs_PREDICTOR.csv": "02570cdfc8977536d0bef40fd1c83e7a5ddc5f34b14f839a38d3124def4782dd",
+        "trace_0003_TFT_vs_TFT.csv": "9bd9a3546fd14f0898954f32d9b1fd56254b22c8e650c85f1eafb664c3eba1b6",
+        "trace_0004_TFT_vs_PREDICTOR.csv": "cf8da04144dff186a8dcefe41b663a69b0ab473cdda040e2afc4d1410d1db211",
+        "trace_0005_PREDICTOR_vs_PREDICTOR.csv": "29e638be38aa40b694ca1ace8c5ce1466c1578530d22897edc04c4da04a1e2a8",
+    },
+    "flags match": {
+        "series_PREDICTOR_vs_ZDGTFT-2.csv": "f3e505678ef1c17a8d5a7717bc6d24a8a96a8f8ba9ce486cb2fc93b240a621df",
+        "trace_PREDICTOR_vs_ZDGTFT-2.csv": "65caa49369bae8febd171c82f7a1df7791d3c00aac6378aa7f78d82d1ea58a60",
+    },
+    "flags match-window-past-the-end": {
+        "series_TFT_vs_PREDICTOR.csv": "46d2c90c6a14b2da1134f08d2e32410a48e87905f4dbeaa87bbdc5da11448487",
+        "trace_TFT_vs_PREDICTOR.csv": "2cf492bf13ef62335b35902b309906e051127c6f554187d43bc0469cce1dfd07",
+    },
+    "flags sweep": {
+        "sweep.csv": "7418af6777abfa90f50ba97cb731d584c8bc6e5e47cee9076319caf9b1530934",
+    },
+    "flags zd-check": {
+        "zd_check.csv": "724fb1895db0498e290668a57f1da46941531cb98ee41b96d1bc1b55e92129e2",
+    },
+    "flags timeseries": {
+        "timeseries.csv": "adb5762d979dbc2dbbe8cb067bbd375130ec969e1a171ff56df0f54a6cc41888",
+    },
+}
+
+
+def pinned_run(tmp_path, spelling, command):
+    out = tmp_path / spelling / command
+    argv = PINNED_FLAGS
+    if spelling == "yaml":
+        config = tmp_path / "run.yaml"
+        config.write_text(PINNED_YAML)
+        argv = ["--config", str(config)]
+    assert main([*argv, "--out", str(out), *PINNED_COMMANDS[command]]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("spelling", ["yaml", "flags"])
+@pytest.mark.parametrize("command", list(PINNED_COMMANDS))
+def test_csv_bytes_are_pinned(tmp_path, capsys, spelling, command):
+    assert pinned_run(tmp_path, spelling, command) == PINNED[f"{spelling} {command}"]
+
+
+# Fuzz of `main`: arbitrary YAML mappings (or junk bytes) and argv lists.
+# A config is a well-formed mapping with up to two keys set to arbitrary
+# values, so that many runs get past the checks; numbers stay small, so that
+# every accepted run is a tiny one.
+NAMES = [*DEFAULT_ROSTER, "tft", "NOPE", ""]
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(-0.5, 1.5),
+    st.sampled_from([float("nan"), float("inf"), "1/2", "0.5"]),
+    st.sampled_from(NAMES), st.text(max_size=4),
+)
+CUSTOM = st.fixed_dictionaries(
+    {"name": st.sampled_from(["X", "Y"]),
+     "probs": st.lists(st.sampled_from([0, 1, 0.25, "1/3"]), min_size=4, max_size=4)},
+    optional={"initial": st.sampled_from("CDR")},
+)
+WILD_CUSTOM = st.fixed_dictionaries(
+    {"name": SCALARS, "probs": st.lists(SCALARS, max_size=5)}, optional={"initial": SCALARS}
+)
+VALUES = st.one_of(SCALARS, st.lists(st.one_of(SCALARS, WILD_CUSTOM), max_size=3))
+WELL_FORMED = {
+    "roster": st.lists(st.one_of(st.sampled_from(DEFAULT_ROSTER), CUSTOM), min_size=1, max_size=4),
+    "n_turns": st.integers(1, 6),
+    "n_iter": st.integers(1, 2),
+    "p_exp": st.floats(0, 1),
+    "payoffs": st.sampled_from([[3, 0, 5, 1], [3.0, 0, 5, 1], ["4", "0", "7", "1"]]),
+    "randomize_initial": st.booleans(),
+    "seed": st.integers(-2, 6),
+    "window": st.integers(1, 6),
+    "grid": st.lists(st.floats(0, 1), max_size=2),
+    "trace": st.booleans(),
+}
+SIZED = ["n_turns", "n_iter", "grid"]  # always given, so no run takes the large defaults
+CONFIGS = st.one_of(
+    st.tuples(
+        st.fixed_dictionaries({k: WELL_FORMED[k] for k in SIZED},
+                              optional={k: v for k, v in WELL_FORMED.items() if k not in SIZED}),
+        st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)] + ["bogus"]),
+                        VALUES, max_size=2),
+    ).map(lambda pair: yaml.safe_dump({**pair[0], **pair[1]})),
+    st.binary(max_size=12),
+)
+FLAG_TEXT = st.one_of(
+    st.integers(-2, 6).map(str), st.floats(-0.5, 1.5).map(str),
+    st.lists(st.sampled_from(NAMES), max_size=4).map(",".join),
+    st.text(alphabet="01.,;-aT \n", max_size=6),
+)
+FLAGS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["--roster", "--turns", "--iters", "--p-exp", "--payoffs",
+                               "--seed", "--window", "--grid"]), FLAG_TEXT),
+    st.sampled_from([("--trace",), ("--randomize-initial",), ("--bogus",)]),
+), max_size=3).map(lambda pairs: [token for pair in pairs for token in pair])
+COMMANDS = st.one_of(
+    st.sampled_from([["tournament"], ["sweep"], ["zd-check"], ["timeseries"], ["bogus"]]),
+    st.lists(st.sampled_from(NAMES), min_size=2, max_size=2).map(lambda ab: ["match", *ab]),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(config=CONFIGS, flags=FLAGS, command=COMMANDS)
+def test_fuzzed_input_exits_0_or_2_and_writes_only_inside_out(config, flags, command):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a config `out` that won over --out would land here
+        try:
+            with open("run.yaml", "wb") as fh:
+                fh.write(config.encode() if isinstance(config, str) else config)
+            if isinstance(config, bytes):  # flags alone must keep the run small too
+                flags = ["--turns", "5", "--iters", "1", "--grid", "0.5", *flags]
+            argv = [*flags, "--config", "run.yaml", "--out", os.path.join(tmp, "out"), *command]
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse refuses with exit 2
+                rc = exc.code
+            assert rc in (0, 2)
+            assert set(os.listdir(tmp)) <= {"run.yaml", "out"}
+            if os.path.isdir("out"):
+                assert all(os.path.isfile(os.path.join("out", n)) and not n.startswith(".tmp-")
+                           for n in os.listdir("out"))
+        finally:
+            os.chdir(cwd)
