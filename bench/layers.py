@@ -19,7 +19,9 @@ layer's cost:
 - one stationary solve: ``analysis.stationary`` on a prebuilt chain, for
   the ergodic GTFT-JOSS pair and for WSLS-ALLC, whose chain has two closed
   classes (three rounds only: versions that simulate such chains take
-  about 14 s per solve).
+  about 14 s per solve);
+- one long-run solve: ``analysis.long_run_payoffs`` on the same two pairs,
+  so building the chain and scoring its law are timed with the solve.
 
 The ``decide`` cache is emptied before every round, so that a round costs
 what it costs in a fresh process.  The same file runs against any version
@@ -31,7 +33,7 @@ import random
 import pytest
 
 from predipd import predictor
-from predipd.analysis import build_chain, stationary
+from predipd.analysis import build_chain, long_run_payoffs, stationary
 from predipd.core import DEFAULT_PAYOFFS, OUTCOMES
 from predipd.engine import (
     MatchConfig,
@@ -112,3 +114,10 @@ def test_default_round_robin(benchmark, master_seed):
 def test_stationary_solve(benchmark, pair, rounds):
     chain = build_chain(*(builtin(name) for name in pair))
     benchmark.pedantic(stationary, args=(chain,), rounds=rounds, iterations=1)
+
+
+@pytest.mark.parametrize("pair", [("GTFT", "JOSS"), ("WSLS", "ALLC")],
+                         ids=["GTFT-JOSS", "WSLS-ALLC"])
+def test_long_run_solve(benchmark, pair):
+    benchmark.pedantic(long_run_payoffs, args=tuple(builtin(name) for name in pair),
+                       rounds=200, iterations=1)

@@ -1,10 +1,13 @@
 """Exact long-run analysis of memory-one pairs and tournament-level sweeps.
 
 A pair of memory-one strategies induces a 4-state Markov chain over the
-joint outcomes (CC, CD, DC, DD) in the first player's orientation.  Its
-long-run law from a uniform start is solved exactly, in integers: each closed
-class's stationary law (Markov chain tree theorem), weighted by the chance of
-ending in that class (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. III).
+joint outcomes (CC, CD, DC, DD) in the first player's orientation.  The chain
+is held in integers, each row as weights over a row total, built from the
+strategies' probabilities as numerator/denominator pairs.  Its long-run law
+from a uniform start is solved in integers: each closed class's stationary
+law (Markov chain tree theorem), weighted by the chance of ending in that
+class (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. III).  Payoffs and
+ZD residuals are scored on that law in integers and rounded to a float once.
 """
 
 from __future__ import annotations
@@ -28,30 +31,40 @@ SIMULATION_FALLBACK = CLASS_MIXTURE
 
 def _scaled(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """A row of fractions as integers over the lcm of its denominators."""
-    total = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (total // v.denominator) for v in row], total
+    ratios = [v.as_integer_ratio() for v in row]
+    total = math.lcm(*[d for _, d in ratios])
+    return [n * (total // d) for n, d in ratios], total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointChain:
-    """Exact row-stochastic 4x4 transition matrix over joint outcomes; also
-    held as integers, ``transition[i][j] == weights[i][j] / totals[i]``."""
+    """Exact 4x4 transition matrix over joint outcomes, held in integers: from
+    state i the chain moves to state j with chance ``weights[i][j] / totals[i]``."""
 
-    transition: tuple[tuple[Fraction, ...], ...]
+    weights: tuple[tuple[int, ...], ...]
+    totals: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
-                     for row in self.transition)
-        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+        weights, totals = self.weights, self.totals
+        if len(weights) != 4 or len(totals) != 4 or set(map(len, weights)) != {4}:
             raise ValueError("transition matrix must be 4x4")
-        weights, totals = zip(*(_scaled(row) for row in rows))
-        if any(w < 0 for row in weights for w in row):
+        if min(map(min, weights)) < 0:
             raise ValueError("transition entries must lie in [0, 1]")
-        if any(sum(row) != total for row, total in zip(weights, totals)):
+        if min(totals) <= 0 or tuple(map(sum, weights)) != tuple(totals):
             raise ValueError("transition rows must sum to 1")
-        object.__setattr__(self, "transition", rows)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "totals", totals)
+
+    @classmethod
+    def from_transition(cls, transition: Sequence[Sequence]) -> JointChain:
+        """The chain of a matrix of exact numbers: anything ``Fraction`` takes,
+        floats by their binary value."""
+        scaled = [_scaled([Fraction(v) for v in row]) for row in transition]
+        return cls(tuple(tuple(row) for row, _ in scaled), tuple(total for _, total in scaled))
+
+    @property
+    def transition(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as fractions, built on each access."""
+        return tuple(tuple(Fraction(w, total) for w in row)
+                     for row, total in zip(self.weights, self.totals))
 
 
 @dataclass(frozen=True)
@@ -81,60 +94,63 @@ class ZdCheck:
 
 
 def build_chain(x: MemoryOneStrategy, y: MemoryOneStrategy) -> JointChain:
-    """Joint transition matrix of the pair, in x's orientation."""
-    xv, yv = x.vector(), y.vector()
-    rows = []
-    for i in range(4):
-        a, b = xv[i].numerator, xv[i].denominator
-        c, d = yv[MIRROR_CODE[i]].numerator, yv[MIRROR_CODE[i]].denominator
-        rows.append((Fraction(a * c, b * d), Fraction(a * (d - c), b * d),
-                     Fraction((b - a) * c, b * d), Fraction((b - a) * (d - c), b * d)))
-    return JointChain(tuple(rows))
+    """Joint transition matrix of the pair, in x's orientation.  From state i,
+    x cooperates with chance a/b and y with chance c/d, so the row's weights
+    over the total b*d are (a*c, a*(d-c), (b-a)*c, (b-a)*(d-c))."""
+    weights, totals = [], []
+    for (a, b), k in zip(x.ratios, MIRROR_CODE):
+        c, d = y.ratios[k]
+        weights.append((a * c, a * (d - c), (b - a) * c, (b - a) * (d - c)))
+        totals.append(b * d)
+    return JointChain(tuple(weights), tuple(totals))
 
 
-def _det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix of order 0 to 3."""
-    if len(m) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return m[0][0] if m else 1
-
-
-def _block(m: list[list[int]], states: Sequence[int]) -> list[list[int]]:
-    return [[m[i][j] for j in states] for i in states]
+def _minor(m: list[list[int]], idx: Sequence[int]) -> int:
+    """Determinant of the integer matrix m restricted to the rows and columns
+    ``idx`` (0 to 3 of them)."""
+    if len(idx) == 3:
+        p, q, r = idx
+        mp, mq, mr = m[p], m[q], m[r]
+        return (mp[p] * (mq[q] * mr[r] - mq[r] * mr[q])
+                - mp[q] * (mq[p] * mr[r] - mq[r] * mr[p])
+                + mp[r] * (mq[p] * mr[q] - mq[q] * mr[p]))
+    if len(idx) == 2:
+        p, q = idx
+        return m[p][p] * m[q][q] - m[p][q] * m[q][p]
+    return m[idx[0]][idx[0]] if idx else 1
 
 
 def _tree_weights(lap, totals, states) -> list[int]:
     """Markov chain tree theorem: w_j = D_j * det(L on ``states`` without j) is
     proportional to the stationary law if ``states`` hold one closed class."""
-    return [totals[j] * _det(_block(lap, [k for k in states if k != j])) for j in states]
+    return [totals[j] * _minor(lap, [k for k in states if k != j]) for j in states]
 
 
 def stationary(chain: JointChain) -> StationaryResult:
     """Exact long-run distribution of the chain from a uniform start."""
     weights, totals = chain.weights, chain.totals
-    lap = [[(totals[i] if i == j else 0) - weights[i][j] for j in range(4)]
-           for i in range(4)]  # L = diag(D) - W
+    lap = [[-w for w in row] for row in weights]  # L = diag(D) - W
+    for i, total in enumerate(totals):
+        lap[i][i] += total
     tree = _tree_weights(lap, totals, range(4))
     total = sum(tree)
     if total:  # one closed class: the same law as the mixture below, at half the cost
-        return StationaryResult(tuple(Fraction(w, total) for w in tree), DIRECT_SOLVE, True)
+        return StationaryResult(tuple([Fraction(w, total) for w in tree]), DIRECT_SOLVE, True)
     # several closed classes: the minimal sets of states no transition leaves
     closed = [set(c) for n in range(1, 4) for c in combinations(range(4), n)
               if not any(weights[i][j] for i in c for j in range(4) if j not in c)]
     classes = [sorted(c) for c in closed if not any(other < c for other in closed)]
     transient = [i for i in range(4) if not any(i in c for c in classes)]
-    lap_t = _block(lap, transient)
-    det = _det(lap_t)
+    lap_t = [[lap[i][j] for j in transient] for i in transient]
+    det = _minor(lap_t, range(len(transient)))
     dist = [Fraction(0)] * 4
     for members in classes:
         # 4 det times the chance of ending in the class: its start mass plus the
         # absorption chances x of L_TT x = (weight into it), by Cramer's rule
         into = [sum(weights[i][j] for j in members) for i in transient]
         ending = len(members) * det + sum(
-            _det([row[:k] + [b] + row[k + 1:] for row, b in zip(lap_t, into)])
+            _minor([row[:k] + [b] + row[k + 1:] for row, b in zip(lap_t, into)],
+                   range(len(transient)))
             for k in range(len(transient)))
         tree = _tree_weights(lap, totals, members)
         for j, w in zip(members, tree):
@@ -142,13 +158,14 @@ def stationary(chain: JointChain) -> StationaryResult:
     return StationaryResult(tuple(dist), CLASS_MIXTURE, False)
 
 
-def _exact_payoffs(x, y, pm: PayoffMatrix) -> tuple[Fraction, Fraction, StationaryResult]:
+def _exact_payoffs(x, y, pm: PayoffMatrix) -> tuple[int, int, int, StationaryResult]:
+    """Both players' long-run payoffs as integers over one denominator."""
     result = stationary(build_chain(x, y))
-    mass, mass_total = _scaled(result.distribution)
-    pay, pay_total = _scaled(pm.focal)
-    den = mass_total * pay_total
-    return (Fraction(sum(m * pay[k] for k, m in enumerate(mass)), den),
-            Fraction(sum(m * pay[MIRROR_CODE[k]] for k, m in enumerate(mass)), den), result)
+    (m0, m1, m2, m3), mass_total = _scaled(result.distribution)
+    (r, s, t, p), pay_total = _scaled(pm.focal)
+    # y's payoff swaps the sucker and temptation outcomes
+    return (m0 * r + m1 * s + m2 * t + m3 * p, m0 * r + m1 * t + m2 * s + m3 * p,
+            mass_total * pay_total, result)
 
 
 def long_run_payoffs(
@@ -156,9 +173,10 @@ def long_run_payoffs(
     y: MemoryOneStrategy,
     pm: PayoffMatrix = DEFAULT_PAYOFFS,
 ) -> LongRunPayoffs:
-    """Per-turn payoffs of both players under the chain's long-run distribution."""
-    px, py, result = _exact_payoffs(x, y, pm)
-    return LongRunPayoffs(float(px), float(py), result.method, result.ergodic)
+    """Per-turn payoffs of both players under the chain's long-run distribution;
+    each an int/int division, so rounded once, as ``float(Fraction)`` is."""
+    px, py, den, result = _exact_payoffs(x, y, pm)
+    return LongRunPayoffs(px / den, py / den, result.method, result.ergodic)
 
 
 def zd_residual(
@@ -170,9 +188,11 @@ def zd_residual(
 ) -> ZdCheck:
     """How far the pair's long-run payoffs sit from Px = slope*Py + intercept,
     computed exactly and rounded once."""
-    px, py, result = _exact_payoffs(x, y, pm)
-    residual = px - (Fraction(slope) * py + Fraction(intercept))
-    return ZdCheck(float(residual), float(px), float(py), result.method, result.ergodic)
+    px, py, den, result = _exact_payoffs(x, y, pm)
+    sn, sd = Fraction(slope).as_integer_ratio()
+    cn, cd = Fraction(intercept).as_integer_ratio()
+    residual = (px * sd * cd - sn * py * cd - cn * sd * den) / (den * sd * cd)
+    return ZdCheck(residual, px / den, py / den, result.method, result.ergodic)
 
 
 def simulate_long_run(
@@ -183,8 +203,9 @@ def simulate_long_run(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Single-trajectory empirical payoffs; independent check on the solver."""
-    thresholds = [(float(a), float(a + b), float(a + b + c))
-                  for a, b, c, _ in build_chain(x, y).transition]
+    chain = build_chain(x, y)
+    thresholds = [(a / total, (a + b) / total, (a + b + c) / total)
+                  for (a, b, c, _), total in zip(chain.weights, chain.totals)]
     pay_x = [float(v) for v in pm.focal]
     pay_y = [pay_x[MIRROR_CODE[k]] for k in range(4)]
     rng = random.Random(seed)

@@ -54,8 +54,17 @@ def _rational(key: str, value) -> Fraction:
         raise ConfigError(f"{key}: {value!r} is not a number") from None
 
 
+#: Largest payoff magnitude taken.  Far above any stage game, and small enough
+#: that the squares in the standard errors and the fit stay finite floats.
+_PAYOFF_LIMIT = 10**100
+
+
 def _payoff_matrix(values) -> PayoffMatrix:
-    pm = PayoffMatrix(*[_rational("payoffs", v) for v in values])
+    payoffs = [_rational("payoffs", v) for v in values]
+    for v, value in zip(values, payoffs):
+        if abs(value) > _PAYOFF_LIMIT:
+            raise ConfigError(f"payoffs: {v} is larger in magnitude than {_PAYOFF_LIMIT:.0e}")
+    pm = PayoffMatrix(*payoffs)
     bad = pm.violations()
     if bad:
         raise ConfigError(f"payoffs: {'; '.join(bad)}")
@@ -128,9 +137,11 @@ def _is_roster(entries) -> bool:
         return False
     names = [e if e == PREDICTOR_NAME else _strategy(e).name for e in entries]
     for name in names:
-        # a name is a CSV field, joined by ';' in the header line
-        if any(ch in ",;" or not ch.isprintable() for ch in name):
-            raise ConfigError(f"roster: name {name!r} holds ',', ';' or a non-printable character")
+        # a name is a CSV field, joined by ';' in the header line; a row that
+        # starts with '#' reads as a comment line
+        if name.startswith("#") or any(ch in ",;" or not ch.isprintable() for ch in name):
+            raise ConfigError(f"roster: name {name!r} starts with '#' or holds ',', ';'"
+                              " or a non-printable character")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"roster: duplicate player names {', '.join(repeated)}")

@@ -95,6 +95,12 @@ class MemoryOneStrategy:
         return tuple(self.coop_prob[o] for o in OUTCOMES)
 
     @cached_property
+    def ratios(self) -> tuple[tuple[int, int], ...]:
+        """(numerator, denominator) of each cooperation probability, indexed
+        by the previous outcome's code: the integer form of :meth:`vector`."""
+        return tuple(p.as_integer_ratio() for p in self.vector())
+
+    @cached_property
     def thresholds(self) -> tuple[float, ...]:
         """:func:`coop_threshold` of each cooperation probability, indexed by
         the previous outcome's code; index ``OPENING`` is the opening move's."""

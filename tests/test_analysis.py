@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import predipd
+from predipd import analysis
 from predipd.analysis import (
     CLASS_MIXTURE,
     DIRECT_SOLVE,
+    SIMULATION_FALLBACK,
     JointChain,
+    StationaryResult,
     build_chain,
     exploration_sweep,
     fit_inverse_sqrt,
@@ -21,11 +24,12 @@ from predipd.analysis import (
     stationary,
     zd_residual,
 )
-from predipd.core import OUTCOMES
+from predipd.core import DEFAULT_PAYOFFS, OUTCOMES, PayoffMatrix
 from predipd.engine import MatchConfig, MemoryOneSpec, PredictorSpec, run_round_robin
 from predipd.strategies import MemoryOneStrategy, builtin
 
 QUARTER = Fraction(1, 4)
+NON_INTEGER = PayoffMatrix(Fraction(7, 2), Fraction(1, 3), Fraction(9, 2), Fraction(4, 3))
 
 
 def _load_reference():
@@ -47,15 +51,23 @@ GRIM = _strategy("GRIM", (1, 0, 0, 0))
 
 def test_joint_chain_validation():
     with pytest.raises(ValueError, match="4x4"):
-        JointChain([[1, 0, 0]] * 3)
+        JointChain.from_transition([[1, 0, 0]] * 3)
     with pytest.raises(ValueError, match="sum to 1"):
-        JointChain([[Fraction(3, 10)] * 4] * 4)
+        JointChain.from_transition([[Fraction(3, 10)] * 4] * 4)
     with pytest.raises(ValueError, match="sum to 1"):
         # floats are taken exactly: 0.1 + 0.2 + 0.3 + 0.4 is not 1 in binary
-        JointChain([[0.1, 0.2, 0.3, 0.4]] + [[QUARTER] * 4] * 3)
+        JointChain.from_transition([[0.1, 0.2, 0.3, 0.4]] + [[QUARTER] * 4] * 3)
     with pytest.raises(ValueError, match="lie in"):
-        JointChain([[Fraction(6, 5), Fraction(-1, 5), 0, 0]] + [[QUARTER] * 4] * 3)
-    chain = JointChain([[1, 0, 0, 0], [0.25] * 4, ["1/2", "1/2", 0, 0], [0, 0, 0, 1]])
+        JointChain.from_transition([[Fraction(6, 5), Fraction(-1, 5), 0, 0]] + [[QUARTER] * 4] * 3)
+    # the integer form is held to the same checks
+    with pytest.raises(ValueError, match="4x4"):
+        JointChain(((1, 0, 0, 0),) * 4, (1, 1, 1))
+    with pytest.raises(ValueError, match="lie in"):
+        JointChain(((2, -1, 0, 0),) + ((1, 0, 0, 0),) * 3, (1, 1, 1, 1))
+    with pytest.raises(ValueError, match="sum to 1"):
+        JointChain(((0, 0, 0, 0),) + ((1, 0, 0, 0),) * 3, (0, 1, 1, 1))
+    chain = JointChain.from_transition([[1, 0, 0, 0], [0.25] * 4, ["1/2", "1/2", 0, 0], [0, 0, 0, 1]])
+    assert chain.totals == (1, 4, 2, 1) and chain.weights[1] == (1, 1, 1, 1)
     assert chain.transition[1] == (QUARTER,) * 4
     assert all(type(v) is Fraction for row in chain.transition for v in row)
 
@@ -111,18 +123,22 @@ def test_stationary_multi_class_chains_are_exact():
     assert lr.method == CLASS_MIXTURE and not lr.ergodic
 
 
-def test_stationary_matches_the_reference_solver():
-    reference = _load_reference()
+def _seeded_pairs():
+    """300 seeded pairs with k/16 entries, 0 and 1 drawn often so that chains
+    have transient states and several closed classes."""
     rng = random.Random(41)
-    multi_class = 0
     for k in range(300):
-        # k/16 entries, with 0 and 1 drawn often so that chains have
-        # transient states and several closed classes
-        x, y = (
+        yield tuple(
             _strategy(f"{role}{k}", [rng.choice((0, 1, Fraction(rng.randint(0, 16), 16)))
                                      for _ in OUTCOMES])
             for role in "xy"
         )
+
+
+def test_stationary_matches_the_reference_solver():
+    reference = _load_reference()
+    multi_class = 0
+    for x, y in _seeded_pairs():
         result = stationary(build_chain(x, y))
         exact = reference.long_run(x.vector(), y.vector())
         assert result.distribution == exact.distribution
@@ -131,6 +147,57 @@ def test_stationary_matches_the_reference_solver():
         assert result.method == (DIRECT_SOLVE if exact.ergodic else CLASS_MIXTURE)
         multi_class += not exact.ergodic
     assert multi_class >= 30
+
+
+@pytest.mark.parametrize("pm", [DEFAULT_PAYOFFS, NON_INTEGER], ids=["default", "non-integer"])
+def test_scores_match_the_reference_bit_for_bit(pm):
+    reference = _load_reference()
+    # 0.3 and 0.7 enter at their exact binary values, over 2**52-sized denominators
+    relations = [(2.0, -3.0), (0.3, 0.7)]
+    for x, y in _seeded_pairs():
+        ex, ey = reference.long_run(x.vector(), y.vector()).payoffs(*pm.focal)
+        lr = long_run_payoffs(x, y, pm)
+        assert (lr.payoff_x, lr.payoff_y) == (float(ex), float(ey))
+        for slope, intercept in relations:
+            check = zd_residual(x, y, slope, intercept, pm)
+            assert (check.payoff_x, check.payoff_y) == (float(ex), float(ey))
+            assert check.residual == float(ex - (Fraction(slope) * ey + Fraction(intercept)))
+
+
+def test_long_run_solve_calls_the_module_globals_once(monkeypatch):
+    # perfbench/run.py and perfbench/tracer.py replace analysis.build_chain and
+    # analysis.stationary, and check the distribution of the one solve each op makes
+    calls = []
+
+    def counted(name, function, wrap=lambda result: result):
+        def call(*args):
+            calls.append(name)
+            return wrap(function(*args))
+        monkeypatch.setattr(analysis, name, call)
+
+    counted("build_chain", build_chain)
+    counted("stationary", stationary,
+            lambda result: StationaryResult(result.distribution, "captured", not result.ergodic))
+    x, y = builtin("ZDGTFT-2"), builtin("JOSS")
+    lr = long_run_payoffs(x, y)
+    assert calls == ["build_chain", "stationary"]
+    assert (lr.method, lr.ergodic) == ("captured", False)
+    calls.clear()
+    check = zd_residual(x, y, 2.0, -3.0)
+    assert calls == ["build_chain", "stationary"]
+    assert (check.method, check.ergodic) == ("captured", False)
+    # perfbench/selftest.py builds results from float distributions
+    result = StationaryResult([0.5, 0.5, 0.0, 0.0], SIMULATION_FALLBACK, False)
+    assert result.distribution == [0.5, 0.5, 0.0, 0.0]
+
+
+def test_simulate_long_run_is_pinned():
+    # the thresholds are the chain's rows rounded once: these values pin them
+    pair = builtin("ZDEXTORT-2"), builtin("GTFT")
+    assert simulate_long_run(*pair, steps=20_000, seed=11) == (2.69775, 1.8395)
+    pair = builtin("JOSS"), builtin("RANDOM")
+    assert simulate_long_run(*pair, NON_INTEGER, steps=20_000, seed=11) == (
+        2.4603416666669147, 2.2526333333335025)
 
 
 def test_long_run_payoffs_landmarks():

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tempfile
 from dataclasses import fields
 
@@ -242,6 +243,14 @@ CUSTOM_NAMED = "roster:\n  - TFT\n  - name: {}\n    probs: [1, 0, 1, 0]\n"
         ([], CUSTOM_NAMED.format('"a,b"'), "tournament", "roster"),
         ([], CUSTOM_NAMED.format('"a;b"'), "tournament", "roster"),
         ([], CUSTOM_NAMED.format('"a\\nb"'), "tournament", "roster"),
+        ([], CUSTOM_NAMED.format('"#x"'), "tournament", "roster"),
+        # payoffs past the float range, or whose squares overflow a float
+        (["--payoffs", "3e400,0,5e400,1e400"], None, "tournament", "payoffs"),
+        (["--payoffs", "1e200,0,1.5e200,1e100"], None, "tournament", "payoffs"),
+        (["--payoffs", "1e308,0,1.5e308,1"], None, "match TFT ALLD", "payoffs"),
+        (["--payoffs", "1e308,0,1.5e308,1"], None, "sweep", "payoffs"),
+        (["--payoffs", "3e400,0,5e400,1e400"], None, "zd-check", "payoffs"),
+        (["--payoffs", "1e308,0,1.5e308,1"], None, "timeseries", "payoffs"),
     ],
 )
 def test_bad_roster_and_flags_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_text,
@@ -250,7 +259,7 @@ def test_bad_roster_and_flags_exit_2_naming_the_key(tmp_path, capsys, flags, yam
     if yaml_text is not None:
         path.write_bytes(yaml_text if isinstance(yaml_text, bytes) else yaml_text.encode())
         flags = ["--config", str(path)]
-    rc, _, err = run_cli([*flags, "--out", str(tmp_path / "out"), command], capsys)
+    rc, _, err = run_cli([*flags, "--out", str(tmp_path / "out"), *command.split()], capsys)
     assert rc == 2
     assert err.startswith(f"error: {key.format(path=path)}:")
     assert not (tmp_path / "out").exists()
@@ -275,6 +284,18 @@ def test_flag_and_yaml_spellings_fail_alike(tmp_path, capsys, flags, yaml_text):
         assert rc == 2
         errors.append(err)
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("command", ["tournament", "match TFT ALLD", "sweep", "zd-check",
+                                     "timeseries"])
+def test_payoffs_at_the_limit_write_finite_numbers(tmp_path, capsys, command):
+    # the widest matrix taken: S and T at -1e100 and 1e100
+    payoffs = ["--payoffs", "9e99,-1e100,1e100,0", "--grid", "0,1"]
+    out = tmp_path / "out"
+    rc, _, _ = run_cli([*BASE, *payoffs, "--out", str(out), *command.split()], capsys)
+    assert rc == 0
+    for path in out.iterdir():
+        assert not re.search(r"\b(inf|nan)\b", path.read_text(), re.IGNORECASE), path.name
 
 
 EVIL_ROSTER = "roster:\n  - TFT\n  - name: ../evil\n    probs: [1, 0, 1, 0]\n"
