@@ -10,6 +10,8 @@ Library layers:
 - :mod:`predipd.cli` -- command-line front end
 """
 
+import importlib
+
 from .core import Action, DEFAULT_PAYOFFS, JointOutcome, OUTCOMES, PayoffMatrix
 from .strategies import (
     BUILTIN_STRATEGIES,
@@ -43,18 +45,28 @@ from .engine import (
     run_round_robin,
     time_series,
 )
-from .analysis import (
-    JointChain,
-    LongRunPayoffs,
-    StationaryResult,
-    ZdCheck,
-    build_chain,
-    exploration_sweep,
-    fit_inverse_sqrt,
-    long_run_payoffs,
-    simulate_long_run,
-    stationary,
-    zd_residual,
-)
+#: Names re-exported from :mod:`predipd.analysis`, which loads on first use:
+#: a tournament never needs it.
+_ANALYSIS_EXPORTS = frozenset({
+    "JointChain",
+    "LongRunPayoffs",
+    "StationaryResult",
+    "ZdCheck",
+    "build_chain",
+    "exploration_sweep",
+    "fit_inverse_sqrt",
+    "long_run_payoffs",
+    "simulate_long_run",
+    "stationary",
+    "zd_residual",
+})
+
+
+def __getattr__(name: str):
+    if name == "analysis" or name in _ANALYSIS_EXPORTS:
+        analysis = importlib.import_module(".analysis", __name__)
+        return analysis if name == "analysis" else getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .core import DEFAULT_PAYOFFS, MIRROR_CODE, PayoffMatrix
@@ -136,11 +135,26 @@ def stationary(chain: JointChain) -> StationaryResult:
     total = sum(tree)
     if total:  # one closed class: the same law as the mixture below, at half the cost
         return StationaryResult(tuple([Fraction(w, total) for w in tree]), DIRECT_SOLVE, True)
-    # several closed classes: the minimal sets of states no transition leaves
-    closed = [set(c) for n in range(1, 4) for c in combinations(range(4), n)
-              if not any(weights[i][j] for i in c for j in range(4) if j not in c)]
-    classes = [sorted(c) for c in closed if not any(other < c for other in closed)]
-    transient = [i for i in range(4) if not any(i in c for c in classes)]
+    # several closed classes.  reach[i] is the bitmask of the states i reaches;
+    # i is recurrent iff each of them reaches i back, and its class is reach[i]
+    reach = [1 << i for i in range(4)]
+    for i, row in enumerate(weights):
+        for j, w in enumerate(row):
+            if w:
+                reach[i] |= 1 << j
+    for k in range(4):  # transitive closure (Warshall)
+        for i in range(4):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    classes = []
+    recurrent = 0
+    for i, mask in enumerate(reach):
+        members = [j for j in range(4) if mask >> j & 1]
+        # each class once, at its first member
+        if members[0] == i and all(reach[j] == mask for j in members):
+            classes.append(members)
+            recurrent |= mask
+    transient = [i for i in range(4) if not recurrent >> i & 1]
     lap_t = [[lap[i][j] for j in transient] for i in transient]
     det = _minor(lap_t, range(len(transient)))
     dist = [Fraction(0)] * 4

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-from . import analysis, engine
+from . import engine
 from .core import OUTCOMES, PayoffMatrix
 from .engine import (
     MatchConfig,
@@ -335,6 +335,8 @@ def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
 
 
 def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
+    from . import analysis  # only the subcommands that use it pay for importing it
+
     specs = cfg.player_specs()
     if not any(isinstance(spec, PredictorSpec) for spec in specs):
         raise ConfigError(f"roster: sweep needs {PREDICTOR_NAME} in the roster")
@@ -351,6 +353,8 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_zd_check(cfg: RunConfig) -> dict[str, str]:
+    from . import analysis
+
     pm = cfg.payoff_matrix()
     opponents = [
         spec.strategy
@@ -371,6 +375,8 @@ def cmd_zd_check(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_timeseries(cfg: RunConfig) -> dict[str, str]:
+    from . import analysis
+
     if cfg.window > cfg.n_turns:
         raise ConfigError(f"window: {cfg.window} is longer than the {cfg.n_turns}-turn match")
     result = run_round_robin(cfg.player_specs(), cfg.match_config(), cfg.n_iter, cfg.seed)

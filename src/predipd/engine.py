@@ -10,7 +10,11 @@ The match kernel works on integer outcome codes (:data:`core.OUTCOME_CODE`):
 memory-one players compare each draw with a precomputed exact threshold,
 the learner decides by the integer closed form of
 :func:`predictor.cooperates`, and per-turn payoffs come from one row of
-floats, summed in turn order.
+floats, summed in turn order.  Each player draws by the bound ``random``
+method of its own :func:`_stream`.  A pairing of two memory-one players runs
+one fused loop that indexes both threshold tables by player a's outcome
+code (b's table mirrored once); a pairing with the learner queries one
+policy closure per player.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Sequence, Union
 
 from . import predictor
 from .core import Action, DEFAULT_PAYOFFS, MIRROR_CODE, OPENING, OUTCOMES, PayoffMatrix
-from .strategies import MemoryOneStrategy, RngStream
+from .strategies import MemoryOneStrategy
 
 PREDICTOR_NAME = "PREDICTOR"
 
@@ -68,6 +72,9 @@ class PredictorSpec:
 
 PlayerSpec = Union[MemoryOneSpec, PredictorSpec]
 
+#: One player's draw: a uniform double in [0, 1).
+Draw = Callable[[], float]
+
 #: A player inside the match kernel: the code of the previous outcome in the
 #: player's own orientation (OPENING on the first turn) -> 1 to defect, 0 to
 #: cooperate.
@@ -77,16 +84,20 @@ Policy = Callable[[int], int]
 _ACTION_PAIRS = tuple((o.self_action, o.opponent_action) for o in OUTCOMES)
 
 
-def _memory_one_policy(strategy: MemoryOneStrategy, rng: RngStream, random_opening: bool) -> Policy:
+def _stream(seed: int) -> random.Random:
+    """A player's seeded draw stream; the kernel draws by its ``random``."""
+    return random.Random(seed)
+
+
+def _memory_one_policy(strategy: MemoryOneStrategy, draw: Draw, random_opening: bool) -> Policy:
     """One draw per turn, compared with the strategy's exact threshold."""
     thresholds = strategy.thresholds
     if random_opening:
         thresholds = thresholds[:OPENING] + (0.5,)
-    uniform = rng.uniform
-    return lambda prev: uniform() >= thresholds[prev]
+    return lambda prev: draw() >= thresholds[prev]
 
 
-def _predictor_policy(p_exp: float, rng: RngStream, cfg: MatchConfig) -> Policy:
+def _predictor_policy(p_exp: float, draw: Draw, cfg: MatchConfig) -> Policy:
     """The learning agent of :mod:`predipd.predictor` on outcome codes.
 
     A random move (one draw) on the opening turn and inside the exploration
@@ -97,7 +108,6 @@ def _predictor_policy(p_exp: float, rng: RngStream, cfg: MatchConfig) -> Policy:
     explore_until = predictor.exploration_turns(cfg.n_turns, p_exp)
     payoffs = predictor.scaled_payoffs(cfg.payoff)
     cooperates = predictor.cooperates
-    uniform = rng.uniform
     coops = [1] * 4
     seen = [2] * 4
     last = OPENING
@@ -113,18 +123,18 @@ def _predictor_policy(p_exp: float, rng: RngStream, cfg: MatchConfig) -> Policy:
         explore = prev == OPENING or turn < explore_until
         turn += 1
         if explore:
-            return uniform() >= 0.5
+            return draw() >= 0.5
         return 0 if cooperates(coops, seen, prev, payoffs) else 1
 
     return move
 
 
-def _policy(spec: PlayerSpec, opponent: PlayerSpec, rng: RngStream, cfg: MatchConfig) -> Policy:
+def _policy(spec: PlayerSpec, opponent: PlayerSpec, draw: Draw, cfg: MatchConfig) -> Policy:
     if isinstance(spec, PredictorSpec):
-        return _predictor_policy(spec.p_exp, rng, cfg)
+        return _predictor_policy(spec.p_exp, draw, cfg)
     # the randomized opening applies only against the learner
     random_opening = cfg.randomize_opponent_initial and isinstance(opponent, PredictorSpec)
-    return _memory_one_policy(spec.strategy, rng, random_opening)
+    return _memory_one_policy(spec.strategy, draw, random_opening)
 
 
 @dataclass(frozen=True)
@@ -170,15 +180,25 @@ class MatchRecord:
 
 def play_match(spec_a: PlayerSpec, spec_b: PlayerSpec, cfg: MatchConfig) -> MatchRecord:
     """Run one match; fully deterministic given cfg.seed."""
-    move_a = _policy(spec_a, spec_b, RngStream(mix_seed(cfg.seed, 0)), cfg)
-    move_b = _policy(spec_b, spec_a, RngStream(mix_seed(cfg.seed, 1)), cfg)
+    draw_a = _stream(mix_seed(cfg.seed, 0)).random
+    draw_b = _stream(mix_seed(cfg.seed, 1)).random
     mirror = MIRROR_CODE
     outcomes = bytearray(cfg.n_turns)
     code = OPENING
-    for turn in range(cfg.n_turns):
-        # both moves are fixed before either is revealed
-        code = 2 * move_a(code) + move_b(mirror[code])
-        outcomes[turn] = code
+    # both moves are fixed before either is revealed; a draws first
+    if isinstance(spec_a, MemoryOneSpec) and isinstance(spec_b, MemoryOneSpec):
+        # no randomized opening between memory-one players
+        ta = spec_a.strategy.thresholds
+        tb = tuple(spec_b.strategy.thresholds[k] for k in mirror)  # indexed by a's code
+        for turn in range(cfg.n_turns):
+            code = 2 * (draw_a() >= ta[code]) + (draw_b() >= tb[code])
+            outcomes[turn] = code
+    else:
+        move_a = _policy(spec_a, spec_b, draw_a, cfg)
+        move_b = _policy(spec_b, spec_a, draw_b, cfg)
+        for turn in range(cfg.n_turns):
+            code = 2 * move_a(code) + move_b(mirror[code])
+            outcomes[turn] = code
 
     row = tuple(float(v) for v in cfg.payoff.focal)
     total_a = 0.0
@@ -194,6 +214,26 @@ def play_match(spec_a: PlayerSpec, spec_b: PlayerSpec, cfg: MatchConfig) -> Matc
         mean_a=total_a / cfg.n_turns,
         mean_b=total_b / cfg.n_turns,
     )
+
+
+#: Deviations of magnitude below 2**_SQUARE_EXP are squared as they are.
+_SQUARE_EXP = 480
+
+
+def _standard_error(means: list[float], avg: float) -> float:
+    """Standard error of the mean of ``means`` (0 for a single value).
+
+    Larger deviations are first scaled below 2**_SQUARE_EXP by an exact power
+    of two, so that their squares stay finite.  Every matrix the CLI accepts
+    (payoffs up to 1e100) is squared unscaled, with the textbook formula's bits.
+    """
+    n = len(means)
+    if n < 2:
+        return 0.0
+    deviations = [m - avg for m in means]
+    shift = max(math.frexp(max(map(abs, deviations)))[1] - _SQUARE_EXP, 0)
+    var = sum(math.ldexp(d, -shift) ** 2 for d in deviations) / (n - 1)
+    return math.ldexp(math.sqrt(var) / math.sqrt(n), shift)
 
 
 @dataclass(frozen=True)
@@ -265,11 +305,7 @@ def run_round_robin(
     for name, means in per_match_means.items():
         avg = sum(means) / len(means)
         averages[name] = avg
-        if len(means) > 1:
-            var = sum((m - avg) ** 2 for m in means) / (len(means) - 1)
-            stderrs[name] = math.sqrt(var) / math.sqrt(len(means))
-        else:
-            stderrs[name] = 0.0
+        stderrs[name] = _standard_error(means, avg)
 
     wins = {spec.name: 0 for spec in order}
     ties = {spec.name: 0 for spec in order}

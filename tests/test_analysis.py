@@ -230,10 +230,38 @@ def test_simulation_cross_checks_the_solver():
 
 def test_cli_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(predipd.__file__).resolve().parents[1]))
-    code = "import sys, predipd.cli; print('numpy' in sys.modules, 'yaml' in sys.modules)"
+    code = ("import sys, predipd.cli; "
+            "print('numpy' in sys.modules, 'yaml' in sys.modules, 'predipd.analysis' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False False"  # PyYAML loads only with --config
+    # PyYAML loads only with --config, the analysis module only for the
+    # subcommands that use it
+    assert proc.stdout.strip() == "False False False"
+
+
+def test_package_re_exports_the_analysis_names():
+    # in a fresh interpreter, so that the names resolve before predipd.analysis loads
+    env = dict(os.environ, PYTHONPATH=str(Path(predipd.__file__).resolve().parents[1]))
+    code = """if True:
+        import sys, predipd
+        assert "predipd.analysis" not in sys.modules
+        analysis = predipd.analysis
+        from predipd import (JointChain, LongRunPayoffs, StationaryResult, ZdCheck,
+                             build_chain, exploration_sweep, fit_inverse_sqrt,
+                             long_run_payoffs, simulate_long_run, stationary, zd_residual)
+        exported = (JointChain, LongRunPayoffs, StationaryResult, ZdCheck, build_chain,
+                    exploration_sweep, fit_inverse_sqrt, long_run_payoffs,
+                    simulate_long_run, stationary, zd_residual)
+        assert analysis is sys.modules["predipd.analysis"]
+        assert all(obj is getattr(analysis, obj.__name__) for obj in exported)
+        try:
+            predipd.absent
+        except AttributeError as exc:
+            print(exc)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "module 'predipd' has no attribute 'absent'"
 
 
 def test_sweep_single_point_matches_plain_tournament():

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from predipd.core import Action
+from predipd.core import Action, PayoffMatrix
 from predipd.engine import (
     MatchConfig,
     MemoryOneSpec,
@@ -158,6 +160,44 @@ def test_pairing_win_and_tie_counting():
     assert result.wins == {"ALLD": 2, "ALLC": 0, "TFT": 0}
     assert result.ties == {"ALLD": 0, "ALLC": 1, "TFT": 1}
     assert result.ranking[0] == "ALLD"
+
+
+def _per_player_means(result):
+    """Each player's per-match means, in the order run_round_robin collects them."""
+    means = {name: [] for name in result.roster}
+    for rec in result.records:
+        if rec.player_a == rec.player_b:
+            means[rec.player_a].append((rec.mean_a + rec.mean_b) / 2)
+        else:
+            means[rec.player_a].append(rec.mean_a)
+            means[rec.player_b].append(rec.mean_b)
+    return means
+
+
+def _textbook_standard_error(means):
+    avg = sum(means) / len(means)
+    var = sum((m - avg) ** 2 for m in means) / (len(means) - 1)
+    return math.sqrt(var) / math.sqrt(len(means))
+
+
+def test_standard_errors_of_huge_payoffs_are_finite():
+    huge = PayoffMatrix(10**200, 0, 15 * 10**199, 10**100)
+    result = run_round_robin(default_roster(), MatchConfig(n_turns=20, payoff=huge), 1, 0)
+    means = _per_player_means(result)
+    with pytest.raises(OverflowError):  # the squares of the deviations overflow
+        [_textbook_standard_error(m) for m in means.values()]
+    for name, player_means in means.items():
+        se = result.standard_errors[name]
+        assert math.isfinite(se) and se > 0, name
+        # the textbook formula on the means scaled down by an exact power of two
+        scaled = _textbook_standard_error([math.ldexp(m, -700) for m in player_means])
+        assert se == pytest.approx(math.ldexp(scaled, 700), rel=1e-12), name
+
+
+def test_standard_errors_keep_their_bits_for_the_default_matrix():
+    result = run_round_robin(default_roster(), MatchConfig(n_turns=200), 5, 0)
+    for name, player_means in _per_player_means(result).items():
+        assert result.standard_errors[name] == _textbook_standard_error(player_means), name
 
 
 def test_single_entry_roster():

@@ -20,7 +20,7 @@ from predipd.predictor import (
     decide,
     scaled_payoffs,
 )
-from predipd.strategies import BUILTIN_STRATEGIES, InitialPolicy, RngStream, coop_threshold
+from predipd.strategies import BUILTIN_STRATEGIES, InitialPolicy, coop_threshold
 from reference_loop import reference_match
 
 C, D = Action.C, Action.D
@@ -38,12 +38,17 @@ def kernel_match(monkeypatch):
     """play_match, also returning the draw count of each player's stream."""
     streams = []
 
-    class RecordingStream(RngStream):
+    class CountingStream(random.Random):
         def __init__(self, seed):
             super().__init__(seed)
+            self.position = 0
             streams.append(self)
 
-    monkeypatch.setattr(engine, "RngStream", RecordingStream)
+        def random(self):
+            self.position += 1
+            return super().random()
+
+    monkeypatch.setattr(engine, "_stream", CountingStream)
 
     def run(spec_a, spec_b, cfg):
         streams.clear()
@@ -87,6 +92,19 @@ def test_learner_settings_match_the_reference_loop(kernel_match, n_turns, p_exp,
     for seed in range(3):
         cfg = MatchConfig(n_turns=n_turns, payoff=PAYOFF_MATRICES[payoffs],
                           randomize_opponent_initial=randomize, seed=seed)
+        assert_same_as_reference(kernel_match, pairs, cfg)
+
+
+@pytest.mark.parametrize("n_turns", [1, 7, 200])
+def test_fused_memory_one_loop_matches_the_reference_loop(kernel_match, n_turns):
+    # the fused loop reads b's thresholds mirrored into a's orientation; JOSS
+    # and ZDEXTORT-2 (p(C|CD) != p(C|DC)) catch an unmirrored table
+    memory_one = [spec for spec in ROSTER if not isinstance(spec, PredictorSpec)]
+    pairs = [(a, b) for a in memory_one for b in memory_one]
+    assert len(pairs) == 81
+    for seed in range(3):
+        cfg = MatchConfig(n_turns=n_turns, payoff=NON_INTEGER, randomize_opponent_initial=True,
+                          seed=seed)
         assert_same_as_reference(kernel_match, pairs, cfg)
 
 
