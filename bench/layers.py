@@ -18,14 +18,17 @@ layer's cost:
   200-turn matches (275 matches, 55,000 turns);
 - one stationary solve: ``analysis.stationary`` on a prebuilt chain, for
   the ergodic GTFT-JOSS pair and for WSLS-ALLC, whose chain has two closed
-  classes (three rounds only: versions that simulate such chains take
-  about 14 s per solve);
+  classes;
 - one long-run solve: ``analysis.long_run_payoffs`` on the same two pairs,
-  so building the chain and scoring its law are timed with the solve.
+  so building the chain and scoring its law are timed with the solve;
+- one exploration sweep: ``analysis.exploration_sweep`` on the default
+  roster over the 21-point grid 0, 0.05, ..., 1, one 200-turn round robin
+  (5 iterations) per point, 3 rounds.
 
 The ``decide`` cache is emptied before every round, so that a round costs
 what it costs in a fresh process.  The same file runs against any version
-of the package that keeps these public names.
+of the package that keeps these public names and has
+``PayoffMatrix.scaled``.
 """
 
 import random
@@ -33,7 +36,8 @@ import random
 import pytest
 
 from predipd import predictor
-from predipd.analysis import build_chain, long_run_payoffs, stationary
+from predipd.analysis import build_chain, exploration_sweep, long_run_payoffs, stationary
+from predipd.cli import DEFAULT_GRID
 from predipd.core import DEFAULT_PAYOFFS, OUTCOMES
 from predipd.engine import (
     MatchConfig,
@@ -75,9 +79,9 @@ def test_kernel_decision(benchmark):
     cooperates = getattr(predictor, "cooperates", None)
     if cooperates is None:
         pytest.skip("this version of predipd has no closed-form decision")
-    payoffs = predictor.scaled_payoffs(DEFAULT_PAYOFFS)
-    cases = [([1 + c for _, c in model.counts], [2 + n for n, _ in model.counts],
-              OUTCOMES.index(x0)) for model, x0 in _models(1000)]
+    payoffs = DEFAULT_PAYOFFS.scaled
+    cases = [([1 + c for _, c in model.counts], [2 + n for n, _ in model.counts], x0)
+             for model, x0 in _models(1000)]
 
     def run():
         for coops, seen, x0 in cases:
@@ -109,11 +113,11 @@ def test_default_round_robin(benchmark, master_seed):
                        setup=predictor.decide.cache_clear, rounds=5, iterations=1)
 
 
-@pytest.mark.parametrize("pair, rounds", [(("GTFT", "JOSS"), 200), (("WSLS", "ALLC"), 3)],
+@pytest.mark.parametrize("pair", [("GTFT", "JOSS"), ("WSLS", "ALLC")],
                          ids=["GTFT-JOSS", "WSLS-ALLC"])
-def test_stationary_solve(benchmark, pair, rounds):
+def test_stationary_solve(benchmark, pair):
     chain = build_chain(*(builtin(name) for name in pair))
-    benchmark.pedantic(stationary, args=(chain,), rounds=rounds, iterations=1)
+    benchmark.pedantic(stationary, args=(chain,), rounds=200, iterations=1)
 
 
 @pytest.mark.parametrize("pair", [("GTFT", "JOSS"), ("WSLS", "ALLC")],
@@ -121,3 +125,9 @@ def test_stationary_solve(benchmark, pair, rounds):
 def test_long_run_solve(benchmark, pair):
     benchmark.pedantic(long_run_payoffs, args=tuple(builtin(name) for name in pair),
                        rounds=200, iterations=1)
+
+
+def test_exploration_sweep(benchmark):
+    args = (default_roster(0.1), MatchConfig(n_turns=200), 5, DEFAULT_GRID, 0)
+    benchmark.pedantic(exploration_sweep, args=args, setup=predictor.decide.cache_clear,
+                       rounds=3, iterations=1)

@@ -176,10 +176,10 @@ def _exact_payoffs(x, y, pm: PayoffMatrix) -> tuple[int, int, int, StationaryRes
     """Both players' long-run payoffs as integers over one denominator."""
     result = stationary(build_chain(x, y))
     (m0, m1, m2, m3), mass_total = _scaled(result.distribution)
-    (r, s, t, p), pay_total = _scaled(pm.focal)
+    r, s, t, p = pm.scaled
     # y's payoff swaps the sucker and temptation outcomes
     return (m0 * r + m1 * s + m2 * t + m3 * p, m0 * r + m1 * t + m2 * s + m3 * p,
-            mass_total * pay_total, result)
+            mass_total * pm.scale, result)
 
 
 def long_run_payoffs(

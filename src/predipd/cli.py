@@ -87,6 +87,9 @@ def _strategy(entry) -> MemoryOneStrategy:
         raise ConfigError(f"roster: custom strategy missing key {exc}") from None
     if not isinstance(name, str):
         raise ConfigError(f"roster: custom strategy name {name!r} is not a string")
+    for key in entry:
+        if key not in ("name", "probs", "initial"):
+            raise ConfigError(f"roster: {name}: unknown key {key!r}")
     if not isinstance(probs, (list, tuple)) or len(probs) != 4:
         raise ConfigError(f"roster: {name}: probs must be a list of 4 entries")
     for k, p in enumerate(probs):

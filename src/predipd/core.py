@@ -7,8 +7,9 @@ platform; only reported averages are converted to floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from fractions import Fraction
 from numbers import Rational
 
@@ -27,55 +28,53 @@ class Action(Enum):
         return self.value
 
 
-class JointOutcome(Enum):
-    """Ordered pair of moves in one turn, focal player's move first."""
+class JointOutcome(IntEnum):
+    """Ordered pair of moves in one turn, focal player's move first; its value
+    is the outcome code 2 * (focal player defected) + (opponent defected)."""
 
-    CC = (Action.C, Action.C)
-    CD = (Action.C, Action.D)
-    DC = (Action.D, Action.C)
-    DD = (Action.D, Action.D)
+    CC = 0
+    CD = 1
+    DC = 2
+    DD = 3
 
     @classmethod
     def from_actions(cls, self_action: Action, opponent_action: Action) -> "JointOutcome":
-        return _OUTCOME_BY_PAIR[(self_action, opponent_action)]
+        return OUTCOMES[2 * (self_action is Action.D) + (opponent_action is Action.D)]
 
     @property
     def self_action(self) -> Action:
-        return self.value[0]
+        return Action.D if self & 2 else Action.C
 
     @property
     def opponent_action(self) -> Action:
-        return self.value[1]
+        return Action.D if self & 1 else Action.C
 
     @property
     def mirror(self) -> "JointOutcome":
         """The same turn seen from the opponent's side."""
-        return JointOutcome.from_actions(self.opponent_action, self.self_action)
+        return OUTCOMES[MIRROR_CODE[self]]
 
     def __str__(self) -> str:
         return self.name
 
+    def __format__(self, spec: str) -> str:
+        return format(self.name, spec)
 
-_OUTCOME_BY_PAIR = {(o.value[0], o.value[1]): o for o in JointOutcome}
 
 #: Canonical state order used for vectors and transition matrices.
-OUTCOMES = (JointOutcome.CC, JointOutcome.CD, JointOutcome.DC, JointOutcome.DD)
-
-#: Integer code of each joint outcome: its index in OUTCOMES, which is
-#: 2 * (focal player defected) + (opponent defected).
-OUTCOME_CODE = {o: i for i, o in enumerate(OUTCOMES)}
+OUTCOMES = tuple(JointOutcome)
 
 #: Pseudo-code standing for "no previous turn" on the opening turn.
 OPENING = 4
 
-#: Code of the same turn seen from the other side, indexed by code.
+#: The one mirroring rule: the code of the same turn seen from the other side.
 MIRROR_CODE = (0, 2, 1, 3, OPENING)
 
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
-    # floats go through their exact binary value; fine for config input
+    # a float becomes the nearest fraction with denominator <= 1e9: 0.1 is 1/10
     return Fraction(x).limit_denominator(10**9)
 
 
@@ -85,7 +84,9 @@ class PayoffMatrix:
 
     The dilemma requires sucker < punishment < reward < temptation and
     2*reward > temptation + sucker.  ``focal`` holds the focal player's
-    payoff for each joint outcome, indexed by outcome code: (R, S, T, P).
+    payoff for each joint outcome, indexed by outcome: (R, S, T, P).
+    ``scaled`` is ``focal`` times ``scale``, the lcm of its denominators: the
+    same payoffs as integers in the same ratios.
     """
 
     reward: Fraction = Fraction(3)
@@ -96,14 +97,15 @@ class PayoffMatrix:
     def __post_init__(self):
         for field in ("reward", "sucker", "temptation", "punishment"):
             object.__setattr__(self, field, _as_fraction(getattr(self, field)))
-        object.__setattr__(
-            self, "focal", (self.reward, self.sucker, self.temptation, self.punishment)
-        )
+        focal = (self.reward, self.sucker, self.temptation, self.punishment)
+        scale = math.lcm(*(v.denominator for v in focal))
+        object.__setattr__(self, "focal", focal)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", tuple(int(v * scale) for v in focal))
 
     def payoff(self, outcome: JointOutcome) -> tuple[Fraction, Fraction]:
         """Focal player's and opponent's payoff for one joint outcome."""
-        code = OUTCOME_CODE[outcome]
-        return self.focal[code], self.focal[MIRROR_CODE[code]]
+        return self.focal[outcome], self.focal[MIRROR_CODE[outcome]]
 
     def violations(self) -> list[str]:
         """Names of every ordering constraint that fails; empty means valid."""

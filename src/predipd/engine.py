@@ -6,15 +6,15 @@ outcome before either current move is revealed, and per-match seeds are a
 fixed 64-bit mix of (master seed, pair indices, iteration), so results
 survive refactors and may be recomputed match by match in any order.
 
-The match kernel works on integer outcome codes (:data:`core.OUTCOME_CODE`):
-memory-one players compare each draw with a precomputed exact threshold,
-the learner decides by the integer closed form of
-:func:`predictor.cooperates`, and per-turn payoffs come from one row of
-floats, summed in turn order.  Each player draws by the bound ``random``
-method of its own :func:`_stream`.  A pairing of two memory-one players runs
-one fused loop that indexes both threshold tables by player a's outcome
-code (b's table mirrored once); a pairing with the learner queries one
-policy closure per player.
+The match kernel works on integer outcome codes, the values of
+:class:`core.JointOutcome`: memory-one players compare each draw with a
+precomputed exact threshold, the learner decides by the integer closed form
+of :func:`predictor.cooperates` on :attr:`core.PayoffMatrix.scaled`, and
+per-turn payoffs come from one row of floats, summed in turn order.  Each
+player draws by the bound ``random`` method of its own :func:`_stream`.  A
+pairing of two memory-one players runs one fused loop that indexes both
+threshold tables by player a's outcome code (b's table mirrored once); a
+pairing with the learner queries one policy closure per player.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _predictor_policy(p_exp: float, draw: Draw, cfg: MatchConfig) -> Policy:
     opponent cooperated ``coops[i] - 1`` times out of ``seen[i] - 2``.
     """
     explore_until = predictor.exploration_turns(cfg.n_turns, p_exp)
-    payoffs = predictor.scaled_payoffs(cfg.payoff)
+    payoffs = cfg.payoff.scaled
     cooperates = predictor.cooperates
     coops = [1] * 4
     seen = [2] * 4
@@ -275,6 +275,8 @@ def run_round_robin(
 
     per_match_means: dict[str, list[float]] = {spec.name: [] for spec in order}
     pair_totals: dict[tuple[str, str], float] = {}
+    wins = {spec.name: 0 for spec in order}
+    ties = {spec.name: 0 for spec in order}
     records: list[MatchRecord] = []
 
     for i, spec_i in enumerate(order):
@@ -296,24 +298,10 @@ def run_round_robin(
             if i == j:
                 # symmetrized diagonal
                 pair_totals[(spec_i.name, spec_i.name)] = (sum_i + sum_j) / (2 * n_iter)
-            else:
-                pair_totals[(spec_i.name, spec_j.name)] = sum_i / n_iter
-                pair_totals[(spec_j.name, spec_i.name)] = sum_j / n_iter
-
-    averages = {}
-    stderrs = {}
-    for name, means in per_match_means.items():
-        avg = sum(means) / len(means)
-        averages[name] = avg
-        stderrs[name] = _standard_error(means, avg)
-
-    wins = {spec.name: 0 for spec in order}
-    ties = {spec.name: 0 for spec in order}
-    for i, spec_i in enumerate(order):
-        for j in range(i + 1, len(order)):
-            spec_j = order[j]
-            mine = pair_totals[(spec_i.name, spec_j.name)]
-            theirs = pair_totals[(spec_j.name, spec_i.name)]
+                continue
+            mine = pair_totals[(spec_i.name, spec_j.name)] = sum_i / n_iter
+            theirs = pair_totals[(spec_j.name, spec_i.name)] = sum_j / n_iter
+            # three-way, so that a NaN mean counts as a tie
             if mine > theirs:
                 wins[spec_i.name] += 1
             elif theirs > mine:
@@ -321,6 +309,13 @@ def run_round_robin(
             else:
                 ties[spec_i.name] += 1
                 ties[spec_j.name] += 1
+
+    averages = {}
+    stderrs = {}
+    for name, means in per_match_means.items():
+        avg = sum(means) / len(means)
+        averages[name] = avg
+        stderrs[name] = _standard_error(means, avg)
 
     ranking = tuple(sorted(averages, key=lambda n: (-averages[n], n)))
     return TournamentResult(

@@ -13,13 +13,12 @@ independent check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import Action, JointOutcome, OUTCOME_CODE, OUTCOMES, PayoffMatrix
+from .core import Action, JointOutcome, OUTCOMES, PayoffMatrix
 from .strategies import RngStream
 
 
@@ -47,21 +46,20 @@ class OpponentModel:
         return cls()
 
     def obs_count(self, state: JointOutcome) -> int:
-        return self.counts[OUTCOME_CODE[state]][0]
+        return self.counts[state][0]
 
     def coop_count(self, state: JointOutcome) -> int:
-        return self.counts[OUTCOME_CODE[state]][1]
+        return self.counts[state][1]
 
     def probability(self, state: JointOutcome) -> Fraction:
-        n, c = self.counts[OUTCOME_CODE[state]]
+        n, c = self.counts[state]
         return Fraction(1 + c, 2 + n)
 
     def observe(self, prev_state: JointOutcome, observed: Action) -> "OpponentModel":
         """Counters after seeing the opponent play `observed` following `prev_state`."""
-        i = OUTCOME_CODE[prev_state]
-        n, c = self.counts[i]
+        n, c = self.counts[prev_state]
         updated = (n + 1, c + 1 if observed is Action.C else c)
-        counts = self.counts[:i] + (updated,) + self.counts[i + 1:]
+        counts = self.counts[:prev_state] + (updated,) + self.counts[prev_state + 1:]
         return OpponentModel(counts)
 
 
@@ -84,7 +82,7 @@ class FixedModel:
         object.__setattr__(self, "probs", probs)
 
     def probability(self, state: JointOutcome) -> Fraction:
-        return self.probs[OUTCOME_CODE[state]]
+        return self.probs[state]
 
 
 def _one_turn(model: OpponentModel, x0: JointOutcome, pm: PayoffMatrix, own: Action) -> Fraction:
@@ -136,19 +134,13 @@ def expected_payoff_defect(model: OpponentModel, x0: JointOutcome, pm: PayoffMat
     return course_value(model, x0, pm, (Action.D, Action.D))
 
 
-def scaled_payoffs(pm: PayoffMatrix) -> tuple[int, int, int, int]:
-    """R, S, T, P times the lcm of their denominators: integers in the same ratios."""
-    scale = math.lcm(*(v.denominator for v in pm.focal))
-    return tuple(int(v * scale) for v in pm.focal)
-
-
 def cooperates(num: Sequence[int], den: Sequence[int], x0: int, payoffs: Sequence[int]) -> bool:
     """The two-turn decision in closed form, in integers.
 
     The opponent cooperates after the state with code i with probability
     ``num[i] / den[i]`` (``den[i] > 0``); ``x0`` is the current state's code
-    and ``payoffs`` are R, S, T, P from :func:`scaled_payoffs`.  Cooperating
-    now beats defecting now (both followed by the final defection) by
+    and ``payoffs`` are R, S, T, P as the integers :attr:`PayoffMatrix.scaled`.
+    Cooperating now beats defecting now (both followed by the final defection) by
 
         (R-T) p0 + (S-P)(1-p0) + (T-P) [p0 (pCC - pDC) + (1-p0) (pCD - pDD)]
 
@@ -179,7 +171,7 @@ def decide(model: OpponentModel, x0: JointOutcome, pm: PayoffMatrix) -> Action:
     probs = [model.probability(o) for o in OUTCOMES]
     num = [p.numerator for p in probs]
     den = [p.denominator for p in probs]
-    return Action.C if cooperates(num, den, OUTCOME_CODE[x0], scaled_payoffs(pm)) else Action.D
+    return Action.C if cooperates(num, den, x0, pm.scaled) else Action.D
 
 
 def decide_at_depth(model: OpponentModel, x0: JointOutcome, pm: PayoffMatrix, depth: int) -> Action:

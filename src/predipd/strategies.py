@@ -6,8 +6,9 @@ by the previous joint outcome *in the strategy owner's own orientation*
 
 Orientation is the classic silent-bug site: a model of an opponent held by
 the focal player indexes the same four probabilities with the focal
-player's move first, which swaps the CD and DC entries.  Use
-:func:`as_model_view` for that conversion and nothing else.
+player's move first, which swaps the CD and DC entries.  Every conversion,
+:func:`as_model_view`, the match kernel and ``analysis.build_chain`` alike,
+goes through :data:`core.MIRROR_CODE` and nothing else.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from predipd.core import (
     Action,
     DEFAULT_PAYOFFS,
     JointOutcome,
+    MIRROR_CODE,
     OUTCOMES,
     PayoffMatrix,
 )
@@ -34,6 +35,31 @@ def test_mirror_swaps_roles():
 
 def test_canonical_order():
     assert [o.name for o in OUTCOMES] == ["CC", "CD", "DC", "DD"]
+
+
+def test_an_outcome_is_its_code():
+    assert [int(o) for o in OUTCOMES] == [0, 1, 2, 3]
+    for a in Action:
+        for b in Action:
+            code = 2 * (a is Action.D) + (b is Action.D)
+            assert JointOutcome.from_actions(a, b) is OUTCOMES[code]
+    for o in OUTCOMES:
+        assert o.mirror is OUTCOMES[MIRROR_CODE[o]]
+        assert f"{o}" == str(o) == o.name
+
+
+@pytest.mark.parametrize(
+    "pm, scaled, scale",
+    [
+        (DEFAULT_PAYOFFS, (3, 0, 5, 1), 1),
+        (PayoffMatrix(Fraction(7, 2), Fraction(1, 3), Fraction(9, 2), Fraction(4, 3)),
+         (21, 2, 27, 8), 6),
+        (PayoffMatrix(3.1, 0, 5, 1), (31, 0, 50, 10), 10),
+    ],
+)
+def test_scaled_is_the_payoffs_over_the_lcm_of_their_denominators(pm, scaled, scale):
+    assert (pm.scaled, pm.scale) == (scaled, scale)
+    assert all(isinstance(v, int) for v in pm.scaled)
 
 
 def test_default_payoff_values():
@@ -80,5 +106,7 @@ def test_violations_name_each_failed_constraint(values, expected_fragments):
 def test_payoff_matrix_is_hashable_and_frozen():
     pm = PayoffMatrix()
     assert hash(pm) == hash(PayoffMatrix())
+    assert repr(pm) == ("PayoffMatrix(reward=Fraction(3, 1), sucker=Fraction(0, 1),"
+                        " temptation=Fraction(5, 1), punishment=Fraction(1, 1))")
     with pytest.raises(AttributeError):
         pm.reward = Fraction(4)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from predipd import engine
-from predipd.core import Action, DEFAULT_PAYOFFS, OUTCOME_CODE, OUTCOMES, PayoffMatrix
+from predipd.core import Action, DEFAULT_PAYOFFS, OUTCOMES, PayoffMatrix
 from predipd.engine import MatchConfig, PredictorSpec, default_roster, play_match
 from predipd.predictor import (
     FixedModel,
@@ -18,7 +18,6 @@ from predipd.predictor import (
     cooperates,
     course_value,
     decide,
-    scaled_payoffs,
 )
 from predipd.strategies import BUILTIN_STRATEGIES, InitialPolicy, coop_threshold
 from reference_loop import reference_match
@@ -159,7 +158,6 @@ def _brute_force(model, x0, pm):
 @pytest.mark.parametrize("payoffs", sorted(PAYOFF_MATRICES))
 def test_integer_decision_matches_course_enumeration(payoffs):
     pm = PAYOFF_MATRICES[payoffs]
-    scaled = scaled_payoffs(pm)
     rng = random.Random(payoffs)
     for k in range(1500):
         max_obs = 8 if k % 3 == 0 else 10**4
@@ -173,7 +171,7 @@ def test_integer_decision_matches_course_enumeration(payoffs):
         # the kernel's unreduced counters and decide's reduced fractions
         coops = [1 + c for _, c in counts]
         seen = [2 + n for n, _ in counts]
-        assert cooperates(coops, seen, OUTCOME_CODE[x0], scaled) is (want is C)
+        assert cooperates(coops, seen, x0, pm.scaled) is (want is C)
         assert decide.__wrapped__(model, x0, pm) is want
 
 
@@ -185,7 +183,7 @@ def test_integer_decision_sends_exact_ties_to_defection():
     for x0 in (OUTCOMES[0], OUTCOMES[3]):
         assert course_value(model, x0, DEFAULT_PAYOFFS, (C, D)) == \
             course_value(model, x0, DEFAULT_PAYOFFS, (D, D))
-        assert not cooperates(coops, seen, OUTCOME_CODE[x0], (3, 0, 5, 1))
+        assert not cooperates(coops, seen, x0, (3, 0, 5, 1))
 
 
 def test_integer_decision_handles_certain_probabilities():
@@ -197,6 +195,6 @@ def test_integer_decision_handles_certain_probabilities():
                 assert decide.__wrapped__(model, x0, pm) is _brute_force(model, x0, pm)
 
 
-def test_scaled_payoffs_are_integers_in_the_same_ratios():
-    assert scaled_payoffs(DEFAULT_PAYOFFS) == (3, 0, 5, 1)
-    assert scaled_payoffs(NON_INTEGER) == (21, 2, 27, 8)
+def test_scaled_payoff_matrix_is_integers_in_the_same_ratios():
+    assert DEFAULT_PAYOFFS.scaled == (3, 0, 5, 1)
+    assert NON_INTEGER.scaled == (21, 2, 27, 8)
