@@ -265,8 +265,7 @@ def exploration_sweep(
             for spec in roster
         ]
         result = run_round_robin(point_roster, cfg, n_iter, master_seed)
-        predictor_names = [s.name for s in point_roster if isinstance(s, PredictorSpec)]
-        name = predictor_names[0]
+        name = PredictorSpec.name
         avg = result.averages[name]
         zd = result.averages.get("ZDGTFT-2", float("nan"))
         rows.append(

@@ -2,9 +2,11 @@
 
 Subcommands: tournament, match, sweep, zd-check, timeseries.  A YAML
 config file may supply any option; command-line flags win over the file.
-Every output CSV starts with a comment line holding the fully resolved
+Every output CSV starts with a comment line holding the resolved
 configuration and master seed, so any run can be reproduced byte for byte
-from its own output.
+from its own output.  The line names a custom roster entry but does not
+hold its probabilities: such a run is reproduced from the line together
+with its config file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import engine
-from .core import OUTCOMES, PayoffMatrix
+from .core import PayoffMatrix
 from .engine import (
     MatchConfig,
     MemoryOneSpec,
@@ -87,24 +89,24 @@ def _strategy(entry) -> MemoryOneStrategy:
         raise ConfigError(f"roster: custom strategy missing key {exc}") from None
     if not isinstance(name, str):
         raise ConfigError(f"roster: custom strategy name {name!r} is not a string")
+    if name == PREDICTOR_NAME:
+        raise ConfigError(f"roster: custom strategy may not be named {PREDICTOR_NAME}")
     for key in entry:
         if key not in ("name", "probs", "initial"):
             raise ConfigError(f"roster: {name}: unknown key {key!r}")
     if not isinstance(probs, (list, tuple)) or len(probs) != 4:
         raise ConfigError(f"roster: {name}: probs must be a list of 4 entries")
+    values = []
     for k, p in enumerate(probs):
         value = _rational(f"roster: {name}: probs[{k}]", p)
         if not 0 <= value <= 1:
             raise ConfigError(f"roster: {name}: probs[{k}] = {p} outside [0, 1]")
+        values.append(value)
     try:
         policy = InitialPolicy(entry.get("initial", "C"))
     except ValueError:
         raise ConfigError(f"roster: {name}: initial must be one of C, D, R") from None
-    return MemoryOneStrategy(
-        name=name,
-        coop_prob=dict(zip(OUTCOMES, (Fraction(str(p)) for p in probs))),
-        initial_policy=policy,
-    )
+    return MemoryOneStrategy(name=name, coop_prob=values, initial_policy=policy)
 
 
 # Which values each key takes.  A predicate says whether a value, from a YAML
@@ -288,30 +290,30 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> list[str]:
     return written
 
 
+def _csv(cfg: RunConfig, columns: str, rows, comments=()) -> str:
+    """The run's header line, then ``comments``, the column names and the rows."""
+    return "\n".join([cfg.header(), *comments, columns, *rows]) + "\n"
+
+
 def _trace_csv(cfg: RunConfig, rec: engine.MatchRecord) -> str:
-    lines = [cfg.header(), "turn,action_a,action_b,payoff_a,payoff_b"]
-    for t, ((a, b), (pa, pb)) in enumerate(zip(rec.actions, rec.payoffs), start=1):
-        lines.append(f"{t},{a},{b},{_fmt(pa)},{_fmt(pb)}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        f"{t},{a},{b},{_fmt(pa)},{_fmt(pb)}"
+        for t, ((a, b), (pa, pb)) in enumerate(zip(rec.actions, rec.payoffs), start=1)
+    )
+    return _csv(cfg, "turn,action_a,action_b,payoff_a,payoff_b", rows)
 
 
 def cmd_tournament(cfg: RunConfig) -> dict[str, str]:
     result = run_round_robin(cfg.player_specs(), cfg.match_config(), cfg.n_iter, cfg.seed)
-    lines = [cfg.header(), "rank,name,average,stderr,wins"]
-    for rank, name in enumerate(result.ranking, start=1):
-        lines.append(
-            f"{rank},{name},{_fmt(result.averages[name])},"
-            f"{_fmt(result.standard_errors[name])},{result.wins[name]}"
-        )
-    summary = "\n".join(lines) + "\n"
-
+    summary = _csv(cfg, "rank,name,average,stderr,wins", (
+        f"{rank},{name},{_fmt(result.averages[name])},"
+        f"{_fmt(result.standard_errors[name])},{result.wins[name]}"
+        for rank, name in enumerate(result.ranking, start=1)
+    ))
     names = result.roster
-    lines = [cfg.header(), "name," + ",".join(names)]
-    for a in names:
-        row = ",".join(_fmt(result.pair_means[(a, b)]) for b in names)
-        lines.append(f"{a},{row}")
-    matrix = "\n".join(lines) + "\n"
-
+    matrix = _csv(cfg, "name," + ",".join(names), (
+        a + "," + ",".join(_fmt(result.pair_means[(a, b)]) for b in names) for a in names
+    ))
     files = {"summary.csv": summary, "matrix.csv": matrix}
     if cfg.trace:
         for k, rec in enumerate(result.records):
@@ -326,14 +328,14 @@ def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
             raise ConfigError(f"roster: match player {name!r} not in roster")
     match_cfg = replace(cfg.match_config(), seed=mix_seed(cfg.seed, 0x4D41))
     rec = play_match(specs[name_a], specs[name_b], match_cfg)
-    series_lines = [cfg.header(), "turn,mean_a,mean_b"]
     series_a = rec.cumulative_means(0, cfg.window)
     series_b = rec.cumulative_means(1, cfg.window)
-    for (turn, ma), (_, mb) in zip(series_a, series_b):
-        series_lines.append(f"{turn},{_fmt(ma)},{_fmt(mb)}")
+    series = _csv(cfg, "turn,mean_a,mean_b", (
+        f"{turn},{_fmt(ma)},{_fmt(mb)}" for (turn, ma), (_, mb) in zip(series_a, series_b)
+    ))
     return {
         f"trace_{name_a}_vs_{name_b}.csv": _trace_csv(cfg, rec),
-        f"series_{name_a}_vs_{name_b}.csv": "\n".join(series_lines) + "\n",
+        f"series_{name_a}_vs_{name_b}.csv": series,
     }
 
 
@@ -346,13 +348,11 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     if not any(spec.name == "ZDGTFT-2" for spec in specs):
         raise ConfigError("roster: sweep needs ZDGTFT-2 in the roster")
     rows = analysis.exploration_sweep(specs, cfg.match_config(), cfg.n_iter, cfg.grid, cfg.seed)
-    lines = [cfg.header(), "p_exp,average,delta_vs_zdgtft2,place,wins"]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row.p_exp)},{_fmt(row.average)},{_fmt(row.delta_vs_zdgtft2)},"
-            f"{row.place},{row.wins}"
-        )
-    return {"sweep.csv": "\n".join(lines) + "\n"}
+    return {"sweep.csv": _csv(cfg, "p_exp,average,delta_vs_zdgtft2,place,wins", (
+        f"{_fmt(row.p_exp)},{_fmt(row.average)},{_fmt(row.delta_vs_zdgtft2)},"
+        f"{row.place},{row.wins}"
+        for row in rows
+    ))}
 
 
 def cmd_zd_check(cfg: RunConfig) -> dict[str, str]:
@@ -364,17 +364,18 @@ def cmd_zd_check(cfg: RunConfig) -> dict[str, str]:
         for spec in cfg.player_specs()
         if isinstance(spec, MemoryOneSpec)
     ]
-    lines = [cfg.header(), "strategy,opponent,slope,intercept,payoff_x,payoff_y,residual,ergodic,method"]
+    rows = []
     for zd_name, slope, intercept in (("ZDGTFT-2", 2.0, -3.0), ("ZDEXTORT-2", 2.0, -1.0)):
         zd = builtin(zd_name)
         for opp in opponents:
             check = analysis.zd_residual(zd, opp, slope, intercept, pm)
-            lines.append(
+            rows.append(
                 f"{zd_name},{opp.name},{_fmt(slope)},{_fmt(intercept)},"
                 f"{_fmt(check.payoff_x)},{_fmt(check.payoff_y)},{check.residual:.3e},"
                 f"{check.ergodic},{check.method}"
             )
-    return {"zd_check.csv": "\n".join(lines) + "\n"}
+    columns = "strategy,opponent,slope,intercept,payoff_x,payoff_y,residual,ergodic,method"
+    return {"zd_check.csv": _csv(cfg, columns, rows)}
 
 
 def cmd_timeseries(cfg: RunConfig) -> dict[str, str]:
@@ -386,14 +387,9 @@ def cmd_timeseries(cfg: RunConfig) -> dict[str, str]:
     subject = PREDICTOR_NAME if PREDICTOR_NAME in result.roster else result.roster[0]
     series = time_series(result, subject, cfg.window)
     a, b, rms = analysis.fit_inverse_sqrt(series)
-    lines = [
-        cfg.header(),
-        f"# fit value ~ a + b/sqrt(n): a={_fmt(a)} b={_fmt(b)} rms={_fmt(rms)}",
-        "turn,mean",
-    ]
-    for turn, mean in series:
-        lines.append(f"{turn},{_fmt(mean)}")
-    return {"timeseries.csv": "\n".join(lines) + "\n"}
+    fit = f"# fit value ~ a + b/sqrt(n): a={_fmt(a)} b={_fmt(b)} rms={_fmt(rms)}"
+    rows = (f"{turn},{_fmt(mean)}" for turn, mean in series)
+    return {"timeseries.csv": _csv(cfg, "turn,mean", rows, comments=(fit,))}
 
 
 #: subcommand -> (function, names of the positionals it takes after the config)

@@ -24,7 +24,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 from . import predictor
 from .core import Action, DEFAULT_PAYOFFS, MIRROR_CODE, OPENING, OUTCOMES, PayoffMatrix
@@ -64,10 +64,10 @@ class MemoryOneSpec:
 
 @dataclass(frozen=True)
 class PredictorSpec:
-    """Roster entry for the learning agent; state is rebuilt every match."""
+    """Roster entry for the learning agent, named PREDICTOR; state is rebuilt every match."""
 
     p_exp: float = 0.1
-    name: str = PREDICTOR_NAME
+    name: ClassVar[str] = PREDICTOR_NAME
 
 
 PlayerSpec = Union[MemoryOneSpec, PredictorSpec]

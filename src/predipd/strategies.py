@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 from .core import Action, JointOutcome, OUTCOMES
 
@@ -31,11 +30,14 @@ class InitialPolicy(Enum):
 
     @property
     def coop_prob(self) -> Fraction:
-        return {
-            InitialPolicy.ALWAYS_COOPERATE: Fraction(1),
-            InitialPolicy.ALWAYS_DEFECT: Fraction(0),
-            InitialPolicy.UNIFORM_RANDOM: Fraction(1, 2),
-        }[self]
+        return _OPENING_PROB[self]
+
+
+_OPENING_PROB = {
+    InitialPolicy.ALWAYS_COOPERATE: Fraction(1),
+    InitialPolicy.ALWAYS_DEFECT: Fraction(0),
+    InitialPolicy.UNIFORM_RANDOM: Fraction(1, 2),
+}
 
 
 class UnknownStrategyError(ValueError):
@@ -78,43 +80,41 @@ def coop_threshold(p) -> float:
 
 @dataclass(frozen=True)
 class MemoryOneStrategy:
-    """Four cooperation probabilities (own orientation) + opening policy."""
+    """Four cooperation probabilities (own orientation) + opening policy.
+
+    ``coop_prob`` takes a sequence of four, or a mapping keyed by outcome, and
+    holds a tuple of ``Fraction``s indexed by the previous outcome's code.
+    """
 
     name: str
-    coop_prob: Mapping[JointOutcome, Fraction]
+    coop_prob: tuple[Fraction, ...]
     initial_policy: InitialPolicy = InitialPolicy.ALWAYS_COOPERATE
 
     def __post_init__(self):
-        probs = {o: Fraction(self.coop_prob[o]) for o in OUTCOMES}
-        for o, p in probs.items():
+        if len(self.coop_prob) != len(OUTCOMES):
+            raise ValueError(f"{self.name}: {len(self.coop_prob)} probabilities, not 4")
+        probs = tuple(Fraction(self.coop_prob[o]) for o in OUTCOMES)
+        for o, p in zip(OUTCOMES, probs):
             if not 0 <= p <= 1:
                 raise ValueError(f"{self.name}: p(C|{o}) = {p} outside [0, 1]")
         object.__setattr__(self, "coop_prob", probs)
 
     def vector(self) -> tuple[Fraction, ...]:
-        """(p(C|CC), p(C|CD), p(C|DC), p(C|DD))."""
-        return tuple(self.coop_prob[o] for o in OUTCOMES)
+        """(p(C|CC), p(C|CD), p(C|DC), p(C|DD)): ``coop_prob`` itself."""
+        return self.coop_prob
 
     @cached_property
     def ratios(self) -> tuple[tuple[int, int], ...]:
         """(numerator, denominator) of each cooperation probability, indexed
         by the previous outcome's code: the integer form of :meth:`vector`."""
-        return tuple(p.as_integer_ratio() for p in self.vector())
+        return tuple(p.as_integer_ratio() for p in self.coop_prob)
 
     @cached_property
     def thresholds(self) -> tuple[float, ...]:
         """:func:`coop_threshold` of each cooperation probability, indexed by
         the previous outcome's code; index ``OPENING`` is the opening move's."""
-        probs = (*self.vector(), self.initial_policy.coop_prob)
+        probs = (*self.coop_prob, self.initial_policy.coop_prob)
         return tuple(coop_threshold(p) for p in probs)
-
-
-def _make(name, vec, initial) -> MemoryOneStrategy:
-    return MemoryOneStrategy(
-        name=name,
-        coop_prob=dict(zip(OUTCOMES, (Fraction(v) for v in vec))),
-        initial_policy=initial,
-    )
 
 
 _C = InitialPolicy.ALWAYS_COOPERATE
@@ -128,15 +128,15 @@ _R = InitialPolicy.UNIFORM_RANDOM
 BUILTIN_STRATEGIES: dict[str, MemoryOneStrategy] = {
     s.name: s
     for s in (
-        _make("TFT", (1, 0, 1, 0), _C),
-        _make("GTFT", (1, Fraction(1, 3), 1, Fraction(1, 3)), _C),
-        _make("WSLS", (1, 0, 0, 1), _C),
-        _make("ALLD", (0, 0, 0, 0), _D),
-        _make("ALLC", (1, 1, 1, 1), _C),
-        _make("JOSS", (Fraction(9, 10), 0, Fraction(9, 10), 0), _D),
-        _make("ZDGTFT-2", (1, Fraction(1, 8), 1, Fraction(1, 4)), _C),
-        _make("ZDEXTORT-2", (Fraction(8, 9), Fraction(1, 2), Fraction(1, 3), 0), _D),
-        _make("RANDOM", (Fraction(1, 2),) * 4, _R),
+        MemoryOneStrategy("TFT", (1, 0, 1, 0), _C),
+        MemoryOneStrategy("GTFT", (1, Fraction(1, 3), 1, Fraction(1, 3)), _C),
+        MemoryOneStrategy("WSLS", (1, 0, 0, 1), _C),
+        MemoryOneStrategy("ALLD", (0, 0, 0, 0), _D),
+        MemoryOneStrategy("ALLC", (1, 1, 1, 1), _C),
+        MemoryOneStrategy("JOSS", (Fraction(9, 10), 0, Fraction(9, 10), 0), _D),
+        MemoryOneStrategy("ZDGTFT-2", (1, Fraction(1, 8), 1, Fraction(1, 4)), _C),
+        MemoryOneStrategy("ZDEXTORT-2", (Fraction(8, 9), Fraction(1, 2), Fraction(1, 3), 0), _D),
+        MemoryOneStrategy("RANDOM", (Fraction(1, 2),) * 4, _R),
     )
 }
 
@@ -167,10 +167,10 @@ def initial_action(
     return Action.C if rng.bernoulli(p) else Action.D
 
 
-def as_model_view(strategy: MemoryOneStrategy) -> dict[JointOutcome, Fraction]:
+def as_model_view(strategy: MemoryOneStrategy) -> tuple[Fraction, ...]:
     """The strategy's four-vector re-indexed in the opposing player's orientation.
 
     Swaps the CD and DC entries; CC and DD are fixed points.  Applying the
     swap twice is the identity.
     """
-    return {o: strategy.coop_prob[o.mirror] for o in OUTCOMES}
+    return tuple(strategy.coop_prob[o.mirror] for o in OUTCOMES)

@@ -42,11 +42,7 @@ def _load_reference():
     return module
 
 
-def _strategy(name, probs):
-    return MemoryOneStrategy(name, dict(zip(OUTCOMES, (Fraction(p) for p in probs))))
-
-
-GRIM = _strategy("GRIM", (1, 0, 0, 0))
+GRIM = MemoryOneStrategy("GRIM", (1, 0, 0, 0))
 
 
 def test_joint_chain_validation():
@@ -129,8 +125,8 @@ def _seeded_pairs():
     rng = random.Random(41)
     for k in range(300):
         yield tuple(
-            _strategy(f"{role}{k}", [rng.choice((0, 1, Fraction(rng.randint(0, 16), 16)))
-                                     for _ in OUTCOMES])
+            MemoryOneStrategy(f"{role}{k}", [rng.choice((0, 1, Fraction(rng.randint(0, 16), 16)))
+                                             for _ in OUTCOMES])
             for role in "xy"
         )
 

@@ -252,6 +252,7 @@ CUSTOM_NAMED = "roster:\n  - TFT\n  - name: {}\n    probs: [1, 0, 1, 0]\n"
         (["--payoffs", "3e400,0,5e400,1e400"], None, "zd-check", "payoffs"),
         (["--payoffs", "1e308,0,1.5e308,1"], None, "timeseries", "payoffs"),
         ([], CUSTOM_NAMED.format("X") + "    inital: D\n", "tournament", "roster: X"),
+        ([], CUSTOM_NAMED.format("PREDICTOR"), "tournament", "roster"),
     ],
 )
 def test_bad_roster_and_flags_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_text,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from predipd.core import Action, JointOutcome, OUTCOMES
+from predipd.engine import MemoryOneSpec, PredictorSpec
 from predipd.strategies import (
     BUILTIN_STRATEGIES,
     InitialPolicy,
@@ -33,6 +34,7 @@ def test_registry_vectors_exact():
     assert set(BUILTIN_STRATEGIES) == set(EXPECTED_VECTORS)
     for name, vec in EXPECTED_VECTORS.items():
         assert builtin(name).vector() == tuple(Fraction(v) for v in vec)
+        assert builtin(name).vector() is builtin(name).coop_prob
 
 
 def test_registry_initial_policies():
@@ -60,6 +62,47 @@ def test_builtin_unknown_name_lists_valid_ones():
 def test_strategy_rejects_out_of_range_probability():
     with pytest.raises(ValueError, match="outside"):
         MemoryOneStrategy("BAD", dict(zip(OUTCOMES, (Fraction(3, 2), 0, 0, 0))))
+
+
+@pytest.mark.parametrize("coop_prob", [
+    (1, 0, Fraction(1, 3), 0),
+    [1, 0, Fraction(1, 3), 0],
+    dict(zip(OUTCOMES, (1, 0, Fraction(1, 3), 0))),
+    {3: 0, 2: Fraction(1, 3), 1: 0, 0: 1},
+], ids=["tuple", "list", "outcome-keys", "int-keys"])
+def test_every_spelling_of_the_probabilities_gives_one_strategy(coop_prob):
+    strategy = MemoryOneStrategy("X", coop_prob)
+    reference = MemoryOneStrategy("X", (Fraction(1), Fraction(0), Fraction(1, 3), Fraction(0)))
+    assert strategy == reference and hash(strategy) == hash(reference)
+    assert type(strategy.coop_prob) is tuple
+    assert all(type(p) is Fraction for p in strategy.coop_prob)
+    assert strategy.coop_prob[JointOutcome.DC] == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("coop_prob", [
+    (1, 0, 1),
+    (1, 0, 1, 0, 0),
+    dict(zip(OUTCOMES[:3], (1, 0, 1))),
+    {0: 1, 1: 0, 2: 1, 3: 0, 4: 0},
+], ids=["3-tuple", "5-tuple", "3-key-dict", "5-key-dict"])
+def test_strategy_needs_exactly_four_probabilities(coop_prob):
+    with pytest.raises(ValueError, match="not 4"):
+        MemoryOneStrategy("BAD", coop_prob)
+
+
+def test_strategies_and_specs_are_hashable():
+    for name in BUILTIN_STRATEGIES:
+        strategy = builtin(name)
+        rebuilt = MemoryOneStrategy(name, strategy.vector(), strategy.initial_policy)
+        assert rebuilt == strategy and hash(rebuilt) == hash(strategy)
+        assert hash(MemoryOneSpec(rebuilt)) == hash(MemoryOneSpec(strategy))
+    assert len({PredictorSpec(p_exp=0.1), PredictorSpec(), PredictorSpec(p_exp=0.5)}) == 2
+
+
+def test_the_learner_has_one_fixed_name():
+    assert PredictorSpec().name == PredictorSpec.name == "PREDICTOR"
+    with pytest.raises(TypeError):
+        PredictorSpec(name="X")
 
 
 def test_rng_stream_is_reproducible():
@@ -130,16 +173,15 @@ def test_initial_action_randomize_override():
 
 
 def test_as_model_view_swaps_cd_dc():
-    view = as_model_view(builtin("TFT"))
-    assert [view[o] for o in OUTCOMES] == [1, 1, 0, 0]
+    assert as_model_view(builtin("TFT")) == (1, 1, 0, 0)
     view = as_model_view(builtin("ZDEXTORT-2"))
-    assert [view[o] for o in OUTCOMES] == [Fraction(8, 9), Fraction(1, 3), Fraction(1, 2), 0]
+    assert view == (Fraction(8, 9), Fraction(1, 3), Fraction(1, 2), 0)
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64),
                 min_size=4, max_size=4))
 def test_as_model_view_is_an_involution(vec):
-    strategy = MemoryOneStrategy("X", dict(zip(OUTCOMES, vec)))
+    strategy = MemoryOneStrategy("X", vec)
     once = as_model_view(strategy)
     twice = as_model_view(MemoryOneStrategy("X2", once))
     assert twice == strategy.coop_prob
@@ -147,7 +189,7 @@ def test_as_model_view_is_an_involution(vec):
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=20), st.integers(0, 2**32))
 def test_empirical_frequency_converges(p, seed):
-    strategy = MemoryOneStrategy("P", dict(zip(OUTCOMES, (p,) * 4)))
+    strategy = MemoryOneStrategy("P", (p,) * 4)
     rng = RngStream(seed)
     n = 2_000
     hits = sum(next_action(strategy, JointOutcome.DD, rng) is Action.C for _ in range(n))
