@@ -4,9 +4,10 @@ Subcommands: tournament, match, sweep, zd-check, timeseries.  A YAML
 config file may supply any option; command-line flags win over the file.
 Every output CSV starts with a comment line holding the resolved
 configuration and master seed, so any run can be reproduced byte for byte
-from its own output.  The line names a custom roster entry but does not
-hold its probabilities: such a run is reproduced from the line together
-with its config file.
+from its own output.  A custom roster entry may not take a builtin's name
+or alias, so a builtin name in the line always means the builtin.  The
+line names a custom entry but does not hold its probabilities: such a run
+is reproduced from the line together with its config file.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ def _rational(key: str, value) -> Fraction:
 _PAYOFF_LIMIT = 10**100
 
 
-def _payoff_matrix(values) -> PayoffMatrix:
+def _payoffs(values) -> PayoffMatrix | None:
+    if not isinstance(values, (list, tuple)) or len(values) != 4:
+        return None
     payoffs = [_rational("payoffs", v) for v in values]
     for v, value in zip(values, payoffs):
         if abs(value) > _PAYOFF_LIMIT:
@@ -89,8 +92,15 @@ def _strategy(entry) -> MemoryOneStrategy:
         raise ConfigError(f"roster: custom strategy missing key {exc}") from None
     if not isinstance(name, str):
         raise ConfigError(f"roster: custom strategy name {name!r} is not a string")
-    if name == PREDICTOR_NAME:
-        raise ConfigError(f"roster: custom strategy may not be named {PREDICTOR_NAME}")
+    # a name in a run's output means one player, so a custom entry may not
+    # take the learner's name or any name that `builtin` resolves
+    try:
+        builtin(name)
+        taken = True
+    except UnknownStrategyError:
+        taken = name == PREDICTOR_NAME
+    if taken:
+        raise ConfigError(f"roster: custom strategy may not be named {name}")
     for key in entry:
         if key not in ("name", "probs", "initial"):
             raise ConfigError(f"roster: {name}: unknown key {key!r}")
@@ -109,38 +119,13 @@ def _strategy(entry) -> MemoryOneStrategy:
     return MemoryOneStrategy(name=name, coop_prob=values, initial_policy=policy)
 
 
-# Which values each key takes.  A predicate says whether a value, from a YAML
-# file or a flag alike, has the key's shape; the roster and payoff ones also
-# raise a ConfigError naming the key for a bad entry.  None rewrites a value:
-# the CSV header prints it as spelled (`p_exp: 1` gives 1, `--p-exp 1` 1.0).
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
-
-
-def _is_bool(value) -> bool:
-    return isinstance(value, bool)
-
-
-def _is_fraction(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
-
-
-def _is_payoffs(values) -> bool:
-    if not isinstance(values, (list, tuple)) or len(values) != 4:
-        return False
-    _payoff_matrix(values)
-    return True
-
-
-def _is_roster(entries) -> bool:
+def _roster(entries) -> list[PlayerSpec] | None:
+    """One spec per entry; PREDICTOR's takes ``p_exp`` once that key is checked."""
     if not isinstance(entries, (list, tuple)) or not entries:
-        return False
-    names = [e if e == PREDICTOR_NAME else _strategy(e).name for e in entries]
+        return None
+    specs = [PredictorSpec() if e == PREDICTOR_NAME else MemoryOneSpec(_strategy(e))
+             for e in entries]
+    names = [spec.name for spec in specs]
     for name in names:
         # a name is a CSV field, joined by ';' in the header line; a row that
         # starts with '#' reads as a comment line
@@ -150,7 +135,28 @@ def _is_roster(entries) -> bool:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"roster: duplicate player names {', '.join(repeated)}")
-    return True
+    return specs
+
+
+# How each key resolves a value, from a YAML file or a flag alike: to what a
+# run uses, or to None when the value does not have the key's shape.  The
+# roster and payoff resolvers also raise a ConfigError naming the key for a
+# bad entry.  A field keeps its value as spelled, for the CSV header
+# (`p_exp: 1` prints 1, `--p-exp 1` 1.0).
+
+def _as_given(test):
+    """The resolver of a key whose value a run uses as given."""
+    return lambda value: value if test(value) else None
+
+
+_int = _as_given(lambda v: isinstance(v, int) and not isinstance(v, bool))
+_count = _as_given(lambda v: _int(v) is not None and v >= 1)
+_bool = _as_given(lambda v: isinstance(v, bool))
+_fraction = _as_given(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and 0 <= v <= 1)
+_grid = _as_given(lambda v: isinstance(v, (list, tuple))
+                  and all(_fraction(g) is not None for g in v))
+_path = _as_given(lambda v: isinstance(v, str) and "\0" not in v)
 
 
 def _parsed(convert):
@@ -164,53 +170,55 @@ def _parsed(convert):
     return parse
 
 
-def _key(flag: str, default, parse, valid, doc: str):
+def _key(flag: str, default, parse, resolve, doc: str):
     """One config key: its flag, default, flag parser (``bool``: a switch that
-    sets true), validity predicate, and ``doc``, what a valid value is."""
-    return field(default=default, metadata={"flag": flag, "parse": parse, "valid": valid, "doc": doc})
+    sets true), resolver, and ``doc``, what a valid value is."""
+    return field(default=default,
+                 metadata={"flag": flag, "parse": parse, "resolve": resolve, "doc": doc})
 
 
 @dataclass
 class RunConfig:
+    """A run's config, checked key by key in field order when it is made.
+
+    The resolved run is ``specs``, one ``PlayerSpec`` per roster entry, and
+    ``match``, the ``MatchConfig`` that carries the ``PayoffMatrix``.
+    """
+
     roster: list | tuple = _key("--roster", tuple(DEFAULT_ROSTER),
                                 lambda text: [n.strip() for n in text.split(",") if n.strip()],
-                                _is_roster, "a non-empty list of strategy names")
-    n_turns: int = _key("--turns", 200, _parsed(int), _is_count, "an integer >= 1")
-    n_iter: int = _key("--iters", 5, _parsed(int), _is_count, "an integer >= 1")
-    p_exp: float = _key("--p-exp", 0.1, _parsed(float), _is_fraction, "a number in [0, 1]")
+                                _roster, "a non-empty list of strategy names")
+    n_turns: int = _key("--turns", 200, _parsed(int), _count, "an integer >= 1")
+    n_iter: int = _key("--iters", 5, _parsed(int), _count, "an integer >= 1")
+    p_exp: float = _key("--p-exp", 0.1, _parsed(float), _fraction, "a number in [0, 1]")
     payoffs: list | tuple = _key("--payoffs", (3, 0, 5, 1), lambda text: text.split(","),
-                                 _is_payoffs, "a list of 4 values R,S,T,P")
-    randomize_initial: bool = _key("--randomize-initial", False, bool, _is_bool, "true or false")
-    seed: int = _key("--seed", 0, _parsed(int), _is_int, "an integer")
-    out: str = _key("--out", ".", str, lambda v: isinstance(v, str) and "\0" not in v,
-                    "a directory path")
-    window: int = _key("--window", 5, _parsed(int), _is_count, "an integer >= 1")
+                                 _payoffs, "a list of 4 values R,S,T,P")
+    randomize_initial: bool = _key("--randomize-initial", False, bool, _bool, "true or false")
+    seed: int = _key("--seed", 0, _parsed(int), _int, "an integer")
+    out: str = _key("--out", ".", str, _path, "a directory path")
+    window: int = _key("--window", 5, _parsed(int), _count, "an integer >= 1")
     grid: list | tuple = _key("--grid", tuple(DEFAULT_GRID),
                               lambda text: [_parsed(float)(g) for g in text.split(",")],
-                              lambda v: isinstance(v, (list, tuple)) and all(map(_is_fraction, v)),
-                              "a list of numbers in [0, 1]")
-    trace: bool = _key("--trace", False, bool, _is_bool, "true or false")
+                              _grid, "a list of numbers in [0, 1]")
+    trace: bool = _key("--trace", False, bool, _bool, "true or false")
 
-    def payoff_matrix(self) -> PayoffMatrix:
-        return _payoff_matrix(self.payoffs)
-
-    def match_config(self) -> MatchConfig:
-        return MatchConfig(
-            n_turns=self.n_turns,
-            payoff=self.payoff_matrix(),
-            randomize_opponent_initial=self.randomize_initial,
+    def __post_init__(self):
+        resolved = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            resolved[f.name] = f.metadata["resolve"](value)
+            if resolved[f.name] is None:
+                raise ConfigError(f"{f.name}: {value!r} is not {f.metadata['doc']}")
+        self.specs: tuple[PlayerSpec, ...] = tuple(
+            replace(spec, p_exp=self.p_exp) if isinstance(spec, PredictorSpec) else spec
+            for spec in resolved["roster"]
         )
-
-    def player_specs(self) -> list[PlayerSpec]:
-        return [
-            PredictorSpec(p_exp=self.p_exp) if entry == PREDICTOR_NAME
-            else MemoryOneSpec(_strategy(entry))
-            for entry in self.roster
-        ]
+        self.match = MatchConfig(n_turns=self.n_turns, payoff=resolved["payoffs"],
+                                 randomize_opponent_initial=self.randomize_initial)
 
     def header(self) -> str:
         payoffs = ",".join(str(v) for v in self.payoffs)
-        roster = ";".join(e if isinstance(e, str) else e.get("name", "?") for e in self.roster)
+        roster = ";".join(e if isinstance(e, str) else e["name"] for e in self.roster)
         return (
             f"# predipd run: seed={self.seed} turns={self.n_turns} iters={self.n_iter}"
             f" p_exp={self.p_exp} payoffs={payoffs} randomize_initial={self.randomize_initial}"
@@ -239,12 +247,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     """Defaults, then config file, then explicit overrides; every key checked."""
     values = _read_config(path) if path is not None else {}
     values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
-    cfg = RunConfig(**values)
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if not f.metadata["valid"](value):
-            raise ConfigError(f"{f.name}: {value!r} is not {f.metadata['doc']}")
-    return cfg
+    return RunConfig(**values)
 
 
 def _fmt(x) -> str:
@@ -304,7 +307,7 @@ def _trace_csv(cfg: RunConfig, rec: engine.MatchRecord) -> str:
 
 
 def cmd_tournament(cfg: RunConfig) -> dict[str, str]:
-    result = run_round_robin(cfg.player_specs(), cfg.match_config(), cfg.n_iter, cfg.seed)
+    result = run_round_robin(cfg.specs, cfg.match, cfg.n_iter, cfg.seed)
     summary = _csv(cfg, "rank,name,average,stderr,wins", (
         f"{rank},{name},{_fmt(result.averages[name])},"
         f"{_fmt(result.standard_errors[name])},{result.wins[name]}"
@@ -322,11 +325,11 @@ def cmd_tournament(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
-    specs = {spec.name: spec for spec in cfg.player_specs()}
+    specs = {spec.name: spec for spec in cfg.specs}
     for name in (name_a, name_b):
         if name not in specs:
             raise ConfigError(f"roster: match player {name!r} not in roster")
-    match_cfg = replace(cfg.match_config(), seed=mix_seed(cfg.seed, 0x4D41))
+    match_cfg = replace(cfg.match, seed=mix_seed(cfg.seed, 0x4D41))
     rec = play_match(specs[name_a], specs[name_b], match_cfg)
     series_a = rec.cumulative_means(0, cfg.window)
     series_b = rec.cumulative_means(1, cfg.window)
@@ -342,12 +345,10 @@ def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
 def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
     from . import analysis  # only the subcommands that use it pay for importing it
 
-    specs = cfg.player_specs()
-    if not any(isinstance(spec, PredictorSpec) for spec in specs):
-        raise ConfigError(f"roster: sweep needs {PREDICTOR_NAME} in the roster")
-    if not any(spec.name == "ZDGTFT-2" for spec in specs):
-        raise ConfigError("roster: sweep needs ZDGTFT-2 in the roster")
-    rows = analysis.exploration_sweep(specs, cfg.match_config(), cfg.n_iter, cfg.grid, cfg.seed)
+    for name in (PREDICTOR_NAME, "ZDGTFT-2"):
+        if name not in (spec.name for spec in cfg.specs):
+            raise ConfigError(f"roster: sweep needs {name} in the roster")
+    rows = analysis.exploration_sweep(cfg.specs, cfg.match, cfg.n_iter, cfg.grid, cfg.seed)
     return {"sweep.csv": _csv(cfg, "p_exp,average,delta_vs_zdgtft2,place,wins", (
         f"{_fmt(row.p_exp)},{_fmt(row.average)},{_fmt(row.delta_vs_zdgtft2)},"
         f"{row.place},{row.wins}"
@@ -358,12 +359,8 @@ def cmd_sweep(cfg: RunConfig) -> dict[str, str]:
 def cmd_zd_check(cfg: RunConfig) -> dict[str, str]:
     from . import analysis
 
-    pm = cfg.payoff_matrix()
-    opponents = [
-        spec.strategy
-        for spec in cfg.player_specs()
-        if isinstance(spec, MemoryOneSpec)
-    ]
+    pm = cfg.match.payoff
+    opponents = [spec.strategy for spec in cfg.specs if isinstance(spec, MemoryOneSpec)]
     rows = []
     for zd_name, slope, intercept in (("ZDGTFT-2", 2.0, -3.0), ("ZDEXTORT-2", 2.0, -1.0)):
         zd = builtin(zd_name)
@@ -383,9 +380,10 @@ def cmd_timeseries(cfg: RunConfig) -> dict[str, str]:
 
     if cfg.window > cfg.n_turns:
         raise ConfigError(f"window: {cfg.window} is longer than the {cfg.n_turns}-turn match")
-    result = run_round_robin(cfg.player_specs(), cfg.match_config(), cfg.n_iter, cfg.seed)
-    subject = PREDICTOR_NAME if PREDICTOR_NAME in result.roster else result.roster[0]
-    series = time_series(result, subject, cfg.window)
+    if PREDICTOR_NAME not in (spec.name for spec in cfg.specs):
+        raise ConfigError(f"roster: timeseries needs {PREDICTOR_NAME} in the roster")
+    result = run_round_robin(cfg.specs, cfg.match, cfg.n_iter, cfg.seed)
+    series = time_series(result, PREDICTOR_NAME, cfg.window)
     a, b, rms = analysis.fit_inverse_sqrt(series)
     fit = f"# fit value ~ a + b/sqrt(n): a={_fmt(a)} b={_fmt(b)} rms={_fmt(rms)}"
     rows = (f"{turn},{_fmt(mean)}" for turn, mean in series)

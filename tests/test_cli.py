@@ -3,12 +3,17 @@ import os
 import re
 import tempfile
 from dataclasses import fields
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from predipd import cli
 from predipd.cli import DEFAULT_ROSTER, ConfigError, RunConfig, main, parse_config, safe_filename
+from predipd.core import PayoffMatrix
+from predipd.engine import MatchConfig, PredictorSpec, default_roster
 
 BASE = ["--turns", "30", "--iters", "1", "--seed", "3"]
 
@@ -32,6 +37,8 @@ def test_defaults():
     assert cfg.n_turns == 200 and cfg.n_iter == 5 and cfg.p_exp == 0.1
     assert cfg.seed == 0 and cfg.payoffs == (3, 0, 5, 1)
     assert len(cfg.roster) == 10 and "PREDICTOR" in cfg.roster
+    assert cfg.specs == tuple(default_roster(p_exp=0.1))
+    assert cfg.match == MatchConfig()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -58,10 +65,31 @@ def test_config_custom_strategy(tmp_path):
         "  - name: GRIMLIKE\n"
         "    probs: ['1', '0', '0', '0']\n"
         "    initial: C\n"
+        "  - PREDICTOR\n"
+        "p_exp: 0.3\n"
+        'payoffs: ["7/2", "1/3", "9/2", "4/3"]\n'
     )
     cfg = parse_config(str(path))
-    specs = cfg.player_specs()
-    assert [s.name for s in specs] == ["TFT", "GRIMLIKE"]
+    assert [s.name for s in cfg.specs] == ["TFT", "GRIMLIKE", "PREDICTOR"]
+    assert cfg.specs[1].strategy.coop_prob == (1, 0, 0, 0)
+    assert cfg.specs[2] == PredictorSpec(p_exp=0.3)
+    assert cfg.match.payoff == PayoffMatrix(Fraction(7, 2), Fraction(1, 3), Fraction(9, 2),
+                                            Fraction(4, 3))
+
+
+@pytest.mark.parametrize("command", ["tournament", "zd-check", "match TFT PREDICTOR"])
+def test_a_run_resolves_its_config_once(tmp_path, capsys, monkeypatch, command):
+    strategies, matrices = [], []
+    strategy, matrix = cli._strategy, cli.PayoffMatrix
+    monkeypatch.setattr(cli, "_strategy", lambda e: strategies.append(e) or strategy(e))
+    monkeypatch.setattr(cli, "PayoffMatrix", lambda *v: matrices.append(v) or matrix(*v))
+    config = tmp_path / "run.yaml"
+    config.write_text("roster:\n  - TFT\n  - name: GRIMLIKE\n    probs: [1, 0, 0, 0]\n"
+                      "  - PREDICTOR\n")
+    argv = [*BASE, "--config", str(config), "--out", str(tmp_path / "out"), *command.split()]
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(strategies) == 2  # one per entry other than PREDICTOR
+    assert len(matrices) == 1
 
 
 @pytest.mark.parametrize(
@@ -199,13 +227,17 @@ def test_error_exit_code_and_message(tmp_path, capsys):
     assert "payoffs" in err
 
 
+# The parametrized cases below carry fixed ids, so that a row added anywhere
+# renames no other case.  The ids of the first rows are the names pytest gave
+# those cases by position before the ids were fixed; a new row takes an id
+# naming its subcommand and key.
 @pytest.mark.parametrize(
     "flags, yaml_text, key",
     [
-        (["--grid", "a,b"], None, "grid"),
-        (["--payoffs", "3,x,5,1"], None, "payoffs"),
-        ([], "n_turns: abc\n", "n_turns"),
-        ([], "payoffs: 5\n", "payoffs"),
+        pytest.param(["--grid", "a,b"], None, "grid", id="flags0-None-grid"),
+        pytest.param(["--payoffs", "3,x,5,1"], None, "payoffs", id="flags1-None-payoffs"),
+        pytest.param([], "n_turns: abc\n", "n_turns", id="flags2-n_turns: abc\n-n_turns"),
+        pytest.param([], "payoffs: 5\n", "payoffs", id="flags3-payoffs: 5\n-payoffs"),
     ],
 )
 def test_malformed_numbers_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_text, key):
@@ -228,31 +260,65 @@ CUSTOM_NAMED = "roster:\n  - TFT\n  - name: {}\n    probs: [1, 0, 1, 0]\n"
 @pytest.mark.parametrize(
     "flags, yaml_text, command, key",
     [
-        (["--roster", "TFT,TFT"], None, "tournament", "roster"),
-        (["--roster", "TFT,ALLD"], None, "sweep", "roster"),
-        ([], 'trace: "no"\n', "tournament", "trace"),
-        ([], "randomize_initial: 1\n", "tournament", "randomize_initial"),
-        (["--roster", ","], None, "tournament", "roster"),
-        (["--roster", ","], None, "timeseries", "roster"),
-        (["--roster", ","], None, "zd-check", "roster"),
-        (["--window", "500"], None, "timeseries", "window"),
-        (["--roster", "TFT,PREDICTOR"], None, "sweep", "roster"),
-        (["--turns", "abc"], None, "tournament", "n_turns"),
-        ([], "a: [\n", "tournament", "config file {path}"),
-        ([], b"seed: \xff\n", "tournament", "config file {path}"),
-        ([], CUSTOM_NAMED.format('"a,b"'), "tournament", "roster"),
-        ([], CUSTOM_NAMED.format('"a;b"'), "tournament", "roster"),
-        ([], CUSTOM_NAMED.format('"a\\nb"'), "tournament", "roster"),
-        ([], CUSTOM_NAMED.format('"#x"'), "tournament", "roster"),
+        pytest.param(["--roster", "TFT,TFT"], None, "tournament", "roster",
+                     id="flags0-None-tournament-roster"),
+        pytest.param(["--roster", "TFT,ALLD"], None, "sweep", "roster",
+                     id="flags1-None-sweep-roster"),
+        pytest.param([], 'trace: "no"\n', "tournament", "trace",
+                     id='flags2-trace: "no"\n-tournament-trace'),
+        pytest.param([], "randomize_initial: 1\n", "tournament", "randomize_initial",
+                     id="flags3-randomize_initial: 1\n-tournament-randomize_initial"),
+        pytest.param(["--roster", ","], None, "tournament", "roster",
+                     id="flags4-None-tournament-roster"),
+        pytest.param(["--roster", ","], None, "timeseries", "roster",
+                     id="flags5-None-timeseries-roster"),
+        pytest.param(["--roster", ","], None, "zd-check", "roster",
+                     id="flags6-None-zd-check-roster"),
+        pytest.param(["--window", "500"], None, "timeseries", "window",
+                     id="flags7-None-timeseries-window"),
+        pytest.param(["--roster", "TFT,PREDICTOR"], None, "sweep", "roster",
+                     id="flags8-None-sweep-roster"),
+        pytest.param(["--turns", "abc"], None, "tournament", "n_turns",
+                     id="flags9-None-tournament-n_turns"),
+        pytest.param([], "a: [\n", "tournament", "config file {path}",
+                     id="flags10-a: [\n-tournament-config file {path}"),
+        pytest.param([], b"seed: \xff\n", "tournament", "config file {path}",
+                     id="flags11-seed: \xff\n-tournament-config file {path}"),
+        pytest.param([], CUSTOM_NAMED.format('"a,b"'), "tournament", "roster",
+                     id="flags12-" + CUSTOM_NAMED.format('"a,b"') + "-tournament-roster"),
+        pytest.param([], CUSTOM_NAMED.format('"a;b"'), "tournament", "roster",
+                     id="flags13-" + CUSTOM_NAMED.format('"a;b"') + "-tournament-roster"),
+        pytest.param([], CUSTOM_NAMED.format('"a\\nb"'), "tournament", "roster",
+                     id="flags14-" + CUSTOM_NAMED.format('"a\\nb"') + "-tournament-roster"),
+        pytest.param([], CUSTOM_NAMED.format('"#x"'), "tournament", "roster",
+                     id="flags15-" + CUSTOM_NAMED.format('"#x"') + "-tournament-roster"),
         # payoffs past the float range, or whose squares overflow a float
-        (["--payoffs", "3e400,0,5e400,1e400"], None, "tournament", "payoffs"),
-        (["--payoffs", "1e200,0,1.5e200,1e100"], None, "tournament", "payoffs"),
-        (["--payoffs", "1e308,0,1.5e308,1"], None, "match TFT ALLD", "payoffs"),
-        (["--payoffs", "1e308,0,1.5e308,1"], None, "sweep", "payoffs"),
-        (["--payoffs", "3e400,0,5e400,1e400"], None, "zd-check", "payoffs"),
-        (["--payoffs", "1e308,0,1.5e308,1"], None, "timeseries", "payoffs"),
-        ([], CUSTOM_NAMED.format("X") + "    inital: D\n", "tournament", "roster: X"),
-        ([], CUSTOM_NAMED.format("PREDICTOR"), "tournament", "roster"),
+        pytest.param(["--payoffs", "3e400,0,5e400,1e400"], None, "tournament", "payoffs",
+                     id="flags16-None-tournament-payoffs"),
+        pytest.param(["--payoffs", "1e200,0,1.5e200,1e100"], None, "tournament", "payoffs",
+                     id="flags17-None-tournament-payoffs"),
+        pytest.param(["--payoffs", "1e308,0,1.5e308,1"], None, "match TFT ALLD", "payoffs",
+                     id="flags18-None-match TFT ALLD-payoffs"),
+        pytest.param(["--payoffs", "1e308,0,1.5e308,1"], None, "sweep", "payoffs",
+                     id="flags19-None-sweep-payoffs"),
+        pytest.param(["--payoffs", "3e400,0,5e400,1e400"], None, "zd-check", "payoffs",
+                     id="flags20-None-zd-check-payoffs"),
+        pytest.param(["--payoffs", "1e308,0,1.5e308,1"], None, "timeseries", "payoffs",
+                     id="flags21-None-timeseries-payoffs"),
+        pytest.param([], CUSTOM_NAMED.format("X") + "    inital: D\n", "tournament", "roster: X",
+                     id="flags22-" + CUSTOM_NAMED.format("X")
+                     + "    inital: D\n-tournament-roster: X"),
+        pytest.param([], CUSTOM_NAMED.format("PREDICTOR"), "tournament", "roster",
+                     id="flags23-" + CUSTOM_NAMED.format("PREDICTOR") + "-tournament-roster"),
+        # a custom entry may not take a builtin's name or alias
+        pytest.param([], CUSTOM_NAMED.format("ZDGTFT-2") + "  - PREDICTOR\n", "sweep", "roster",
+                     id="sweep-roster-custom-named-ZDGTFT-2"),
+        pytest.param([], CUSTOM_NAMED.format("ZDGTFT-2"), "zd-check", "roster",
+                     id="zd-check-roster-custom-named-ZDGTFT-2"),
+        pytest.param([], CUSTOM_NAMED.format("ZD-GTFT-2") + "  - ZDGTFT-2\n", "tournament",
+                     "roster", id="tournament-roster-custom-named-ZD-GTFT-2"),
+        pytest.param(["--roster", "TFT,ALLD,GTFT"], None, "timeseries", "roster",
+                     id="timeseries-roster-without-PREDICTOR"),
     ],
 )
 def test_bad_roster_and_flags_exit_2_naming_the_key(tmp_path, capsys, flags, yaml_text,
@@ -316,6 +382,14 @@ def test_output_files_stay_inside_out(tmp_path, capsys, command):
         assert os.path.dirname(path) == str(out)
     assert sorted(p.name for p in (tmp_path / "deep").iterdir()) == ["out"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep", "run.yaml"]
+
+
+def test_readme_key_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| YAML key | flag |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    keys = [(key.strip().strip("`"), flag.strip().strip("`")) for key, flag in rows]
+    assert keys == [(f.name, f.metadata["flag"]) for f in fields(RunConfig)]
 
 
 def test_safe_filename_keeps_plain_names():
@@ -439,7 +513,7 @@ SCALARS = st.one_of(
     st.sampled_from(NAMES), st.text(max_size=4),
 )
 CUSTOM = st.fixed_dictionaries(
-    {"name": st.sampled_from(["X", "Y"]),
+    {"name": st.sampled_from(["X", "Y", "TFT", "ZD-GTFT-2"]),
      "probs": st.lists(st.sampled_from([0, 1, 0.25, "1/3"]), min_size=4, max_size=4)},
     optional={"initial": st.sampled_from("CDR")},
 )
