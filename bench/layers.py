@@ -27,8 +27,8 @@ layer's cost:
 
 The ``decide`` cache is emptied before every round, so that a round costs
 what it costs in a fresh process.  The same file runs against any version
-of the package that keeps these public names and has
-``PayoffMatrix.scaled``.
+of the package that keeps these public names, has ``PayoffMatrix.scaled``
+and takes a ``MemoryOneStrategy`` itself as a roster entry.
 """
 
 import random
@@ -41,7 +41,6 @@ from predipd.cli import DEFAULT_GRID
 from predipd.core import DEFAULT_PAYOFFS, OUTCOMES
 from predipd.engine import (
     MatchConfig,
-    MemoryOneSpec,
     PredictorSpec,
     default_roster,
     play_match,
@@ -93,14 +92,14 @@ def test_kernel_decision(benchmark):
 
 def test_predictor_match(benchmark):
     cfg = MatchConfig(n_turns=200, seed=3)
-    learner, tft = PredictorSpec(p_exp=0.1), MemoryOneSpec(builtin("TFT"))
+    learner, tft = PredictorSpec(p_exp=0.1), builtin("TFT")
     benchmark.pedantic(play_match, args=(learner, tft, cfg), setup=predictor.decide.cache_clear,
                        rounds=50, iterations=1, warmup_rounds=1)
 
 
 def test_memory_one_match(benchmark):
     cfg = MatchConfig(n_turns=200, seed=3)
-    joss, rand = MemoryOneSpec(builtin("JOSS")), MemoryOneSpec(builtin("RANDOM"))
+    joss, rand = builtin("JOSS"), builtin("RANDOM")
     benchmark.pedantic(play_match, args=(joss, rand, cfg), rounds=50, iterations=1,
                        warmup_rounds=1)
 

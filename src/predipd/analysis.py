@@ -175,11 +175,8 @@ def stationary(chain: JointChain) -> StationaryResult:
 def _exact_payoffs(x, y, pm: PayoffMatrix) -> tuple[int, int, int, StationaryResult]:
     """Both players' long-run payoffs as integers over one denominator."""
     result = stationary(build_chain(x, y))
-    (m0, m1, m2, m3), mass_total = _scaled(result.distribution)
-    r, s, t, p = pm.scaled
-    # y's payoff swaps the sucker and temptation outcomes
-    return (m0 * r + m1 * s + m2 * t + m3 * p, m0 * r + m1 * t + m2 * s + m3 * p,
-            mass_total * pm.scale, result)
+    masses, mass_total = _scaled(result.distribution)
+    return (*pm.totals(masses), mass_total * pm.scale, result)
 
 
 def long_run_payoffs(

@@ -22,7 +22,6 @@ from . import engine
 from .core import PayoffMatrix
 from .engine import (
     MatchConfig,
-    MemoryOneSpec,
     PlayerSpec,
     PredictorSpec,
     PREDICTOR_NAME,
@@ -123,8 +122,7 @@ def _roster(entries) -> list[PlayerSpec] | None:
     """One spec per entry; PREDICTOR's takes ``p_exp`` once that key is checked."""
     if not isinstance(entries, (list, tuple)) or not entries:
         return None
-    specs = [PredictorSpec() if e == PREDICTOR_NAME else MemoryOneSpec(_strategy(e))
-             for e in entries]
+    specs = [PredictorSpec() if e == PREDICTOR_NAME else _strategy(e) for e in entries]
     names = [spec.name for spec in specs]
     for name in names:
         # a name is a CSV field, joined by ';' in the header line; a row that
@@ -326,6 +324,8 @@ def cmd_tournament(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
     specs = {spec.name: spec for spec in cfg.specs}
+    # a builtin may also be named as the roster spells it, alias included
+    specs.update((e, spec) for e, spec in zip(cfg.roster, cfg.specs) if isinstance(e, str))
     for name in (name_a, name_b):
         if name not in specs:
             raise ConfigError(f"roster: match player {name!r} not in roster")
@@ -337,8 +337,8 @@ def cmd_match(cfg: RunConfig, name_a: str, name_b: str) -> dict[str, str]:
         f"{turn},{_fmt(ma)},{_fmt(mb)}" for (turn, ma), (_, mb) in zip(series_a, series_b)
     ))
     return {
-        f"trace_{name_a}_vs_{name_b}.csv": _trace_csv(cfg, rec),
-        f"series_{name_a}_vs_{name_b}.csv": series,
+        f"trace_{rec.player_a}_vs_{rec.player_b}.csv": _trace_csv(cfg, rec),
+        f"series_{rec.player_a}_vs_{rec.player_b}.csv": series,
     }
 
 
@@ -360,7 +360,7 @@ def cmd_zd_check(cfg: RunConfig) -> dict[str, str]:
     from . import analysis
 
     pm = cfg.match.payoff
-    opponents = [spec.strategy for spec in cfg.specs if isinstance(spec, MemoryOneSpec)]
+    opponents = [spec for spec in cfg.specs if isinstance(spec, MemoryOneStrategy)]
     rows = []
     for zd_name, slope, intercept in (("ZDGTFT-2", 2.0, -3.0), ("ZDEXTORT-2", 2.0, -1.0)):
         zd = builtin(zd_name)

@@ -107,6 +107,14 @@ class PayoffMatrix:
         """Focal player's and opponent's payoff for one joint outcome."""
         return self.focal[outcome], self.focal[MIRROR_CODE[outcome]]
 
+    def totals(self, weights) -> tuple[int, int]:
+        """Focal player's and opponent's total payoff, times ``scale``, over
+        integer ``weights`` indexed by outcome (turn counts, scaled masses)."""
+        r, s, t, p = self.scaled
+        w0, w1, w2, w3 = weights
+        # the opponent's payoff swaps the sucker and temptation outcomes
+        return w0 * r + w1 * s + w2 * t + w3 * p, w0 * r + w1 * t + w2 * s + w3 * p
+
     def violations(self) -> list[str]:
         """Names of every ordering constraint that fails; empty means valid."""
         out = []

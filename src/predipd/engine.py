@@ -9,12 +9,14 @@ survive refactors and may be recomputed match by match in any order.
 The match kernel works on integer outcome codes, the values of
 :class:`core.JointOutcome`: memory-one players compare each draw with a
 precomputed exact threshold, the learner decides by the integer closed form
-of :func:`predictor.cooperates` on :attr:`core.PayoffMatrix.scaled`, and
-per-turn payoffs come from one row of floats, summed in turn order.  Each
-player draws by the bound ``random`` method of its own :func:`_stream`.  A
-pairing of two memory-one players runs one fused loop that indexes both
-threshold tables by player a's outcome code (b's table mirrored once); a
-pairing with the learner queries one policy closure per player.
+of :func:`predictor.cooperates` on :attr:`core.PayoffMatrix.scaled`, and a
+match is scored once, exactly, from its four outcome counts
+(:meth:`core.PayoffMatrix.totals`).  Each player draws by the bound
+``random`` method of its own :func:`_stream`.  A roster entry is what it
+plays, a :class:`MemoryOneStrategy` or a :class:`PredictorSpec`.  A pairing
+of two memory-one players runs one fused loop that indexes both threshold
+tables by player a's outcome code (b's table mirrored once); a pairing with
+the learner queries one policy closure per player.
 """
 
 from __future__ import annotations
@@ -52,17 +54,6 @@ class MatchConfig:
 
 
 @dataclass(frozen=True)
-class MemoryOneSpec:
-    """Roster entry backed by a fixed memory-one strategy."""
-
-    strategy: MemoryOneStrategy
-
-    @property
-    def name(self) -> str:
-        return self.strategy.name
-
-
-@dataclass(frozen=True)
 class PredictorSpec:
     """Roster entry for the learning agent, named PREDICTOR; state is rebuilt every match."""
 
@@ -70,7 +61,14 @@ class PredictorSpec:
     name: ClassVar[str] = PREDICTOR_NAME
 
 
-PlayerSpec = Union[MemoryOneSpec, PredictorSpec]
+PlayerSpec = Union[MemoryOneStrategy, PredictorSpec]
+
+
+def MemoryOneSpec(strategy: MemoryOneStrategy) -> MemoryOneStrategy:
+    """The roster entry of a memory-one strategy: the strategy itself.  Kept
+    because ``perfbench/run.py`` builds its golden matches through it."""
+    return strategy
+
 
 #: One player's draw: a uniform double in [0, 1).
 Draw = Callable[[], float]
@@ -134,7 +132,7 @@ def _policy(spec: PlayerSpec, opponent: PlayerSpec, draw: Draw, cfg: MatchConfig
         return _predictor_policy(spec.p_exp, draw, cfg)
     # the randomized opening applies only against the learner
     random_opening = cfg.randomize_opponent_initial and isinstance(opponent, PredictorSpec)
-    return _memory_one_policy(spec.strategy, draw, random_opening)
+    return _memory_one_policy(spec, draw, random_opening)
 
 
 @dataclass(frozen=True)
@@ -142,14 +140,14 @@ class MatchRecord:
     """Complete turn-by-turn trace of one match.
 
     ``outcomes`` holds one outcome code per turn in player a's orientation,
-    and ``payoff_row`` player a's payoff for each code; the per-turn actions
+    and ``payoff`` the matrix the match was played on; the per-turn actions
     and payoffs are derived from them.
     """
 
     player_a: str
     player_b: str
     outcomes: bytes
-    payoff_row: tuple[float, float, float, float]
+    payoff: PayoffMatrix
     mean_a: float
     mean_b: float
 
@@ -163,18 +161,20 @@ class MatchRecord:
 
     @property
     def payoffs(self) -> tuple[tuple[float, float], ...]:
-        row = self.payoff_row
+        row = tuple(float(v) for v in self.payoff.focal)
         return tuple((row[code], row[MIRROR_CODE[code]]) for code in self.outcomes)
 
     def cumulative_means(self, role: int, window: int = 5) -> list[tuple[int, float]]:
-        """(turn, mean payoff through that turn) at every `window` turns."""
-        row = self.payoff_row if role == 0 else [self.payoff_row[MIRROR_CODE[c]] for c in range(4)]
+        """(turn, mean payoff through that turn) at every `window` turns; each
+        mean is the exact running total divided once."""
+        scaled, scale = self.payoff.scaled, self.payoff.scale
+        row = scaled if role == 0 else [scaled[MIRROR_CODE[c]] for c in range(4)]
         series = []
-        total = 0.0
+        total = 0
         for t, code in enumerate(self.outcomes, start=1):
             total += row[code]
             if t % window == 0:
-                series.append((t, total / t))
+                series.append((t, total / (t * scale)))
         return series
 
 
@@ -186,10 +186,10 @@ def play_match(spec_a: PlayerSpec, spec_b: PlayerSpec, cfg: MatchConfig) -> Matc
     outcomes = bytearray(cfg.n_turns)
     code = OPENING
     # both moves are fixed before either is revealed; a draws first
-    if isinstance(spec_a, MemoryOneSpec) and isinstance(spec_b, MemoryOneSpec):
+    if isinstance(spec_a, MemoryOneStrategy) and isinstance(spec_b, MemoryOneStrategy):
         # no randomized opening between memory-one players
-        ta = spec_a.strategy.thresholds
-        tb = tuple(spec_b.strategy.thresholds[k] for k in mirror)  # indexed by a's code
+        ta = spec_a.thresholds
+        tb = tuple(spec_b.thresholds[k] for k in mirror)  # indexed by a's code
         for turn in range(cfg.n_turns):
             code = 2 * (draw_a() >= ta[code]) + (draw_b() >= tb[code])
             outcomes[turn] = code
@@ -200,19 +200,15 @@ def play_match(spec_a: PlayerSpec, spec_b: PlayerSpec, cfg: MatchConfig) -> Matc
             code = 2 * move_a(code) + move_b(mirror[code])
             outcomes[turn] = code
 
-    row = tuple(float(v) for v in cfg.payoff.focal)
-    total_a = 0.0
-    total_b = 0.0
-    for code in outcomes:
-        total_a += row[code]
-        total_b += row[mirror[code]]
+    total_a, total_b = cfg.payoff.totals([outcomes.count(code) for code in range(4)])
+    den = cfg.n_turns * cfg.payoff.scale
     return MatchRecord(
         player_a=spec_a.name,
         player_b=spec_b.name,
         outcomes=bytes(outcomes),
-        payoff_row=row,
-        mean_a=total_a / cfg.n_turns,
-        mean_b=total_b / cfg.n_turns,
+        payoff=cfg.payoff,
+        mean_a=total_a / den,
+        mean_b=total_b / den,
     )
 
 
@@ -359,6 +355,4 @@ def default_roster(p_exp: float = 0.1) -> list[PlayerSpec]:
     """The nine registry strategies plus the learning agent."""
     from .strategies import BUILTIN_STRATEGIES
 
-    specs: list[PlayerSpec] = [MemoryOneSpec(s) for s in BUILTIN_STRATEGIES.values()]
-    specs.append(PredictorSpec(p_exp=p_exp))
-    return specs
+    return [*BUILTIN_STRATEGIES.values(), PredictorSpec(p_exp=p_exp)]

@@ -3,7 +3,8 @@
 One player object per side, queried with enums each turn: memory-one
 players sample through ``next_action`` and ``initial_action`` (exact
 ``float < Fraction`` draws), the learner through ``predictor.act`` and
-``predictor.observe``, and payoffs come from ``PayoffMatrix.payoff``.
+``predictor.observe``, and payoffs come from ``PayoffMatrix.payoff``: each
+mean is the exact ``Fraction`` total over the turns, rounded once.
 ``tests/test_kernel.py`` holds ``engine.play_match`` to this loop.
 """
 
@@ -48,7 +49,7 @@ def _player(spec, opponent, rng, cfg: MatchConfig):
     if isinstance(spec, PredictorSpec):
         return PredictorPlayer(spec.p_exp, cfg.n_turns, cfg.payoff, rng)
     randomize = cfg.randomize_opponent_initial and isinstance(opponent, PredictorSpec)
-    return MemoryOnePlayer(spec.strategy, rng, randomize)
+    return MemoryOnePlayer(spec, rng, randomize)
 
 
 def reference_match(spec_a, spec_b, cfg: MatchConfig) -> dict:
@@ -60,8 +61,8 @@ def reference_match(spec_a, spec_b, cfg: MatchConfig) -> dict:
 
     actions = []
     payoffs = []
-    total_a = 0.0
-    total_b = 0.0
+    total_a = 0
+    total_b = 0
     for turn in range(cfg.n_turns):
         # both moves are fixed before either is revealed
         move_a = player_a.act(turn)
@@ -71,13 +72,13 @@ def reference_match(spec_a, spec_b, cfg: MatchConfig) -> dict:
         pay_a, pay_b = cfg.payoff.payoff(JointOutcome.from_actions(move_a, move_b))
         actions.append((move_a, move_b))
         payoffs.append((float(pay_a), float(pay_b)))
-        total_a += float(pay_a)
-        total_b += float(pay_b)
+        total_a += pay_a
+        total_b += pay_b
 
     return {
         "actions": tuple(actions),
         "payoffs": tuple(payoffs),
-        "mean_a": total_a / cfg.n_turns,
-        "mean_b": total_b / cfg.n_turns,
+        "mean_a": float(total_a / cfg.n_turns),
+        "mean_b": float(total_b / cfg.n_turns),
         "draws": (rng_a.position, rng_b.position),
     }

@@ -21,7 +21,6 @@ from predipd.cli import main as cli_main
 from predipd.core import Action, DEFAULT_PAYOFFS, JointOutcome, OUTCOMES
 from predipd.engine import (
     MatchConfig,
-    MemoryOneSpec,
     PredictorSpec,
     default_roster,
     play_match,
@@ -73,7 +72,7 @@ def test_criterion_2_exact_deterministic_cells():
     for seed in range(5):
         cfg = MatchConfig(n_turns=200, seed=seed)
         for a, b, want_a, want_b in cells:
-            rec = play_match(MemoryOneSpec(builtin(a)), MemoryOneSpec(builtin(b)), cfg)
+            rec = play_match(builtin(a), builtin(b), cfg)
             ok = ok and rec.mean_a == want_a and rec.mean_b == want_b
     assert report(2, ok, "TFT-TFT, WSLS-TFT, ALLD-ALLC, ALLD-ALLD exact at 5 seeds")
 
@@ -214,14 +213,14 @@ def test_criterion_7_late_game_traces():
     for name in cooperative:
         for seed in range(N_SEEDS):
             cfg = MatchConfig(n_turns=200, seed=seed)
-            rec = play_match(PredictorSpec(p_exp=0.1), MemoryOneSpec(builtin(name)), cfg)
+            rec = play_match(PredictorSpec(p_exp=0.1), builtin(name), cfg)
             if all(pair == (C, C) for pair in rec.actions[-50:]):
                 cooperative[name] += 1
     defection_ok = True
     allc_means = []
     for seed in range(N_SEEDS):
         cfg = MatchConfig(n_turns=200, seed=seed)
-        rec = play_match(PredictorSpec(p_exp=0.1), MemoryOneSpec(builtin("ALLC")), cfg)
+        rec = play_match(PredictorSpec(p_exp=0.1), builtin("ALLC"), cfg)
         defections = sum(a is D for a, _ in rec.actions[-50:])
         defection_ok = defection_ok and defections >= 0.95 * 50
         allc_means.append(rec.mean_a)

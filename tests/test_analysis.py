@@ -25,7 +25,7 @@ from predipd.analysis import (
     zd_residual,
 )
 from predipd.core import DEFAULT_PAYOFFS, OUTCOMES, PayoffMatrix
-from predipd.engine import MatchConfig, MemoryOneSpec, PredictorSpec, run_round_robin
+from predipd.engine import MatchConfig, PredictorSpec, run_round_robin
 from predipd.strategies import MemoryOneStrategy, builtin
 
 QUARTER = Fraction(1, 4)
@@ -261,7 +261,7 @@ def test_package_re_exports_the_analysis_names():
 
 
 def test_sweep_single_point_matches_plain_tournament():
-    roster = [MemoryOneSpec(builtin(n)) for n in ("TFT", "ALLD", "ZDGTFT-2")]
+    roster = [builtin(n) for n in ("TFT", "ALLD", "ZDGTFT-2")]
     roster.append(PredictorSpec(p_exp=0.5))
     cfg = MatchConfig(n_turns=60)
     rows = exploration_sweep(roster, cfg, n_iter=2, p_exp_grid=[0.1], master_seed=5)
@@ -276,12 +276,12 @@ def test_sweep_single_point_matches_plain_tournament():
 
 
 def test_sweep_validation():
-    roster = [MemoryOneSpec(builtin("TFT")), PredictorSpec()]
+    roster = [builtin("TFT"), PredictorSpec()]
     cfg = MatchConfig(n_turns=10)
     with pytest.raises(ValueError, match="outside"):
         exploration_sweep(roster, cfg, 1, [1.5], 0)
     with pytest.raises(ValueError, match="learning-agent"):
-        exploration_sweep([MemoryOneSpec(builtin("TFT"))], cfg, 1, [0.1], 0)
+        exploration_sweep([builtin("TFT")], cfg, 1, [0.1], 0)
 
 
 def test_fit_recovers_exact_coefficients():

@@ -71,7 +71,7 @@ def test_config_custom_strategy(tmp_path):
     )
     cfg = parse_config(str(path))
     assert [s.name for s in cfg.specs] == ["TFT", "GRIMLIKE", "PREDICTOR"]
-    assert cfg.specs[1].strategy.coop_prob == (1, 0, 0, 0)
+    assert cfg.specs[1].coop_prob == (1, 0, 0, 0)
     assert cfg.specs[2] == PredictorSpec(p_exp=0.3)
     assert cfg.match.payoff == PayoffMatrix(Fraction(7, 2), Fraction(1, 3), Fraction(9, 2),
                                             Fraction(4, 3))
@@ -159,6 +159,20 @@ def test_match_requires_roster_membership(tmp_path, capsys):
     )
     assert rc == 2
     assert "WSLS" in err
+
+
+def test_match_takes_a_builtin_by_its_roster_spelling(tmp_path, capsys):
+    outputs = {}
+    for name in ("ZD-GTFT-2", "ZDGTFT-2"):
+        out = tmp_path / name
+        rc, _, err = run_cli([*BASE, "--roster", "ZD-GTFT-2,TFT", "--out", str(out),
+                              "match", name, "TFT"], capsys)
+        assert rc == 0, err
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    # both spellings name one player, so they write the same files
+    assert sorted(outputs["ZD-GTFT-2"]) == ["series_ZDGTFT-2_vs_TFT.csv",
+                                            "trace_ZDGTFT-2_vs_TFT.csv"]
+    assert outputs["ZD-GTFT-2"] == outputs["ZDGTFT-2"]
 
 
 def test_sweep_command(tmp_path, capsys):

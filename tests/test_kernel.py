@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from predipd import engine
 from predipd.core import Action, DEFAULT_PAYOFFS, OUTCOMES, PayoffMatrix
@@ -198,3 +198,42 @@ def test_integer_decision_handles_certain_probabilities():
 def test_scaled_payoff_matrix_is_integers_in_the_same_ratios():
     assert DEFAULT_PAYOFFS.scaled == (3, 0, 5, 1)
     assert NON_INTEGER.scaled == (21, 2, 27, 8)
+
+
+@st.composite
+def dilemmas(draw):
+    """Valid rational matrices: S < P < R < T and 2R > T + S."""
+    fractions = st.fractions(min_value=-10, max_value=10, max_denominator=60)
+    steps = st.fractions(min_value=Fraction(1, 60), max_value=10, max_denominator=60)
+    shares = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60),
+                          max_denominator=60)
+    sucker = draw(fractions)
+    punishment = sucker + draw(steps)
+    reward = punishment + draw(steps)
+    # T - R < R - S is 2R > T + S
+    temptation = reward + (reward - sucker) * draw(shares)
+    return PayoffMatrix(reward, sucker, temptation, punishment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pm=dilemmas(), pairing=st.sampled_from(["memory-one", "learner", "self-play"]),
+       name=st.sampled_from(sorted(BUILTIN_STRATEGIES)), seed=st.integers(0, 2**32),
+       n_turns=st.integers(1, 200))
+@example(pm=NON_INTEGER, pairing="memory-one", name="ALLD", seed=0, n_turns=200)
+def test_match_means_are_the_exact_totals_rounded_once(pm, pairing, name, seed, n_turns):
+    # memory-one pairs play TFT against `name`
+    spec_a = PredictorSpec(p_exp=0.1) if pairing != "memory-one" else BUILTIN_STRATEGIES["TFT"]
+    spec_b = spec_a if pairing == "self-play" else BUILTIN_STRATEGIES[name]
+    rec = play_match(spec_a, spec_b, MatchConfig(n_turns=n_turns, payoff=pm, seed=seed))
+    total_a = total_b = Fraction(0)
+    running = []
+    for code in rec.outcomes:
+        pay_a, pay_b = pm.payoff(OUTCOMES[code])
+        total_a += pay_a
+        total_b += pay_b
+        running.append((total_a, total_b))
+    assert rec.mean_a == float(total_a / n_turns)
+    assert rec.mean_b == float(total_b / n_turns)
+    for role in (0, 1):
+        assert rec.cumulative_means(role, 1) == [
+            (t, float(totals[role] / t)) for t, totals in enumerate(running, start=1)]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from predipd.core import Action, JointOutcome, OUTCOMES
-from predipd.engine import MemoryOneSpec, PredictorSpec
+from predipd.engine import PredictorSpec
 from predipd.strategies import (
     BUILTIN_STRATEGIES,
     InitialPolicy,
@@ -95,7 +95,6 @@ def test_strategies_and_specs_are_hashable():
         strategy = builtin(name)
         rebuilt = MemoryOneStrategy(name, strategy.vector(), strategy.initial_policy)
         assert rebuilt == strategy and hash(rebuilt) == hash(strategy)
-        assert hash(MemoryOneSpec(rebuilt)) == hash(MemoryOneSpec(strategy))
     assert len({PredictorSpec(p_exp=0.1), PredictorSpec(), PredictorSpec(p_exp=0.5)}) == 2
 
 
